@@ -115,6 +115,10 @@ def cmd_segment(args):
         print("number of motions unknown: pass --n or provide labels",
               file=sys.stderr)
         return EXIT_CONFIG
+    if n > W.points:
+        print(f"number of motions {n} exceeds the {W.points} trajectories",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = clustering.SegmentConfig(
             n=n, projector=args.projector, m=args.m, gamma=args.gamma,

@@ -137,6 +137,8 @@ def segment(W, config):
     spectral clustering.  Returns (labeling, report) where the report
     carries per-stage timings, eigenvalues, and solver diagnostics.
     """
+    if config.n > W.points:
+        raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")
     report = {"stages": {}, "n": config.n, "projector": config.projector}
     clock = time.perf_counter
 
@@ -156,11 +158,13 @@ def segment(W, config):
     solution = nb.solve_all_neighbors(G, size=config.neighbors,
                                       sigma=config.sigma, lam=config.lam,
                                       admm=config.admm)
-    _, X = nb.nsi_dissimilarity_rows(G)
-    Omega = nb.weight_matrix(solution.C, X).Omega
+    Omega = nb.weight_matrix(solution.C, solution.X).Omega
     report["stages"]["sparse_neighbors"] = clock() - t0
+    converged = sum(s.converged for s in solution.stats)
     report["solver"] = {
         "rows": len(solution.stats),
+        "rows_converged": converged,
+        "rows_capped": len(solution.stats) - converged,
         "stalled_rows": solution.stalled_rows,
         "max_primal_residual": max(s.primal_residual for s in solution.stats),
         "mean_iterations": float(np.mean([s.iterations for s in solution.stats])),

@@ -1,10 +1,11 @@
-"""Misclassification scoring with exhaustive label-bijection matching."""
+"""Misclassification scoring with optimal label-bijection matching."""
 
 from dataclasses import dataclass
-from itertools import permutations
 from statistics import mean, median
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 
 class LengthMismatch(ValueError):
@@ -21,27 +22,28 @@ class ScoreReport:
 def misclassification(pred, truth):
     """Minimum error rate over all bijections between label sets.
 
-    Brute force over permutations; the cluster count never exceeds a
-    handful in this problem so exhaustive search stays exact and cheap.
+    The best bijection is a maximum-weight assignment on the confusion
+    matrix (Kuhn 1955), exact for any cluster count.  csgraph's full
+    bipartite matching solves it; scipy.optimize's linear_sum_assignment
+    would too, but importing scipy.optimize adds about 9 MB of resident
+    memory (scipy 1.17) that nothing else in the package needs.
     """
     if len(pred) != len(truth):
         raise LengthMismatch(
             f"predicted {len(pred)} labels, ground truth {len(truth)}")
     n = max(pred.n, truth.n)
-    if n > 10:
-        raise ValueError("bijection search supports at most 10 clusters")
 
     P = len(truth)
     confusion = np.zeros((n, n), dtype=int)
     np.add.at(confusion, (pred.labels, truth.labels), 1)
 
-    best_correct, best_perm = -1, None
-    for perm in permutations(range(n)):
-        correct = sum(confusion[i, perm[i]] for i in range(n))
-        if correct > best_correct:
-            best_correct, best_perm = correct, perm
-    return ScoreReport(1.0 - best_correct / P,
-                       {i: best_perm[i] for i in range(n)},
+    # a sparse graph has no edge where the weight is 0; adding 1 keeps the
+    # graph complete and adds n to every bijection, so the best one is kept
+    rows, cols = min_weight_full_bipartite_matching(csr_matrix(confusion + 1),
+                                                    maximize=True)
+    correct = int(confusion[rows, cols].sum())
+    return ScoreReport(1.0 - correct / P,
+                       {int(i): int(j) for i, j in zip(rows, cols)},
                        confusion)
 
 

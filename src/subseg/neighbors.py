@@ -4,13 +4,12 @@ Each projected trajectory gets a candidate set from its smallest NSI
 dissimilarities, then a weighted L1 problem with an affine constraint
 picks the few candidates spanning the same local subspace.  The solver is
 an alternating-direction scheme: an equality-constrained least-squares
-step, entrywise soft-thresholding, and dual ascent.
+step, entrywise soft-thresholding, and dual ascent.  One vectorized loop
+solves all rows at once; a single row is solved as a batch of one.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +47,9 @@ class SparseNeighborSolution:
     """Row-stacked sparse coefficients with per-row solve metadata."""
 
     C: np.ndarray                # (P, P), row i = c_i^T, zero diagonal
-    candidates: list             # per-row candidate index arrays
+    candidates: np.ndarray       # (P, k), row i = candidate indices of row i
     stats: list                  # per-row RowStats
+    X: np.ndarray                # (P, P) NSI distances the rows were solved on
 
     @property
     def stalled_rows(self):
@@ -106,13 +106,14 @@ def search_area(x_row, self_index, size):
 def proximity_weights(x, sigma):
     """Diagonal solver weights: small for close candidates, near 1 for far.
 
-    exp(x/sigma) normalized over the candidate set, so close points incur a
-    lower L1 penalty and stay in the support.
+    exp(x/sigma) normalized over the candidate set (the last axis of ``x``;
+    ``sigma`` broadcasts against it), so close points incur a lower L1
+    penalty and stay in the support.
     """
-    if sigma <= 0:
+    if np.any(np.asarray(sigma) <= 0):
         raise ValueError("sigma must be > 0")
-    q = np.exp((x - x.max()) / sigma)
-    return q / q.sum()
+    q = np.exp((x - x.max(axis=-1, keepdims=True)) / sigma)
+    return q / q.sum(axis=-1, keepdims=True)
 
 
 def neighbor_objective(c, x, q, lam):
@@ -123,122 +124,61 @@ def neighbor_objective(c, x, q, lam):
 def solve_sparse_neighbors(x, sigma=None, lam=0.07, admm=None):
     """Solve min lam*||Q c||_1 + 0.5*||diag(x) c||_2^2 s.t. 1^T c = 1.
 
-    ``x`` holds the candidate distances.  The quadratic step solves its
-    KKT system in closed form (diagonal plus rank-one), the L1 step is
-    soft-thresholding with per-entry thresholds lam*q/rho, and a scaled
-    dual variable tracks the splitting constraint.  Returns (c, RowStats);
-    the affine constraint holds to machine precision.
+    ``x`` holds the candidate distances of one row; this is the batched
+    solve of ``solve_all_neighbors`` on a single row.  Returns
+    (c, RowStats); the affine constraint holds to machine precision.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("candidate set must be nonempty")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    admm = admm or AdmmParams()
-    k = x.size
-    if k == 1:
-        return np.ones(1), RowStats(0, 0.0, 0.0, True, False)
-
-    if sigma is None:
-        sigma = float(np.mean(x)) or 1.0
-    q = proximity_weights(x, sigma)
-    thresh = lam * q / admm.rho
-
-    H = 1.0 / (x ** 2 + admm.rho)
-    H_sum = H.sum()
-
-    c = np.full(k, 1.0 / k)
-    z = c.copy()
-    u = np.zeros(k)
-    r_norm = s_norm = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, admm.max_iter + 1):
-        v = admm.rho * (z - u)
-        w = H * v
-        nu = (w.sum() - 1.0) / H_sum
-        c = w - nu * H
-
-        z_old = z
-        z = _soft_threshold(c + u, thresh)
-        u = u + c - z
-
-        r_norm = float(np.linalg.norm(c - z))
-        s_norm = float(admm.rho * np.linalg.norm(z - z_old))
-        eps_pri = np.sqrt(k) * admm.tol_abs + admm.tol_rel * max(
-            np.linalg.norm(c), np.linalg.norm(z))
-        eps_dual = np.sqrt(k) * admm.tol_abs + admm.tol_rel * admm.rho * np.linalg.norm(u)
-        if r_norm <= eps_pri and s_norm <= eps_dual:
-            converged = True
-            break
-
-    stalled = not converged and r_norm > 1e-3
-    # keep only the support the L1 step selected; renormalizing the
-    # surviving entries restores 1^T c = 1 exactly
-    keep = z != 0.0
-    if np.any(keep) and abs(c[keep].sum()) > 1e-3:
-        c = np.where(keep, c, 0.0)
-        c = c / c.sum()
-    return c, RowStats(iterations, r_norm, s_norm, converged, stalled)
+    coeffs, stats = _solve_rows(x[None, :], sigma, lam, admm)
+    return coeffs[0], stats[0]
 
 
 def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     """Run the sparse-neighbor solve for every projected trajectory.
 
-    All rows share the candidate-set size, so the solves run as one
-    vectorized batch with per-row freezing at convergence; the iterates
-    match the per-row solver exactly.  SUBSEG_THREADS (when > 1) caps a
-    thread pool over per-row solves instead.  Stalled rows are flagged in
-    the stats and a single summary warning is issued, never dropped.
+    All rows share the candidate-set size, so their solves run as one
+    vectorized batch in which each row freezes at its own convergence.
+    Stalled rows are flagged in the stats and a single summary warning is
+    issued, never dropped.
     """
     _, X = nsi_dissimilarity_rows(subspace)
     P = X.shape[0]
     size = min(size, P - 1)
+    candidates = np.stack([search_area(X[i], i, size) for i in range(P)])
+    coeffs, stats = _solve_rows(np.take_along_axis(X, candidates, axis=1),
+                                sigma, lam, admm)
     C = np.zeros((P, P))
-    candidates = [search_area(X[i], i, size) for i in range(P)]
+    np.put_along_axis(C, candidates, coeffs, axis=1)
 
-    workers = int(os.environ.get("SUBSEG_THREADS", "1"))
-    if workers > 1:
-        def solve_row(i):
-            return solve_sparse_neighbors(X[i, candidates[i]], sigma, lam, admm)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_row, range(P)))
-        coeffs = [c for c, _ in results]
-        stats = [s for _, s in results]
-    else:
-        x_all = np.stack([X[i, candidates[i]] for i in range(P)])
-        coeffs, stats = _solve_batch(x_all, sigma, lam, admm or AdmmParams())
-
-    for i in range(P):
-        C[i, candidates[i]] = coeffs[i]
-
-    solution = SparseNeighborSolution(C, candidates, stats)
+    solution = SparseNeighborSolution(C, candidates, stats, X)
     if solution.stalled_rows:
         warnings.warn(f"{len(solution.stalled_rows)} row solves stalled "
                       "above tolerance", SolverStall)
     return solution
 
 
-def _solve_batch(x_all, sigma, lam, admm):
-    """Vectorized variant of solve_sparse_neighbors over stacked rows.
+def _solve_rows(x_all, sigma, lam, admm):
+    """ADMM over stacked rows of candidate distances, shape (rows, k).
 
-    Identical update sequence; each row freezes at its own convergence
-    iteration so the result agrees with the per-row solver.
+    The quadratic step solves its KKT system in closed form (diagonal plus
+    rank-one), the L1 step is soft-thresholding with per-entry thresholds
+    lam*q/rho, and a scaled dual variable tracks the splitting constraint.
+    Each row stops updating at its own convergence iteration, so a row's
+    result does not depend on the other rows in the batch.
     """
-    R, k = x_all.shape
-    if k == 1:
-        return [np.ones(1)] * R, [RowStats(0, 0.0, 0.0, True, False)] * R
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    admm = admm or AdmmParams()
+    R, k = x_all.shape
+    if k == 1:
+        return np.ones((R, 1)), [RowStats(0, 0.0, 0.0, True, False)] * R
 
     if sigma is None:
-        sig = x_all.mean(axis=1, keepdims=True)
-        sig[sig == 0] = 1.0
-    else:
-        sig = np.full((R, 1), float(sigma))
-    q = np.exp((x_all - x_all.max(axis=1, keepdims=True)) / sig)
-    q = q / q.sum(axis=1, keepdims=True)
-    thresh = lam * q / admm.rho
+        sigma = x_all.mean(axis=1, keepdims=True)
+        sigma[sigma == 0] = 1.0
+    thresh = lam * proximity_weights(x_all, sigma) / admm.rho
 
     H = 1.0 / (x_all ** 2 + admm.rho)
     H_sum = H.sum(axis=1, keepdims=True)
@@ -277,19 +217,15 @@ def _solve_batch(x_all, sigma, lam, admm):
         if not active.any():
             break
 
-    coeffs, stats = [], []
-    for i in range(R):
-        converged = not active[i]
-        stalled = (not converged) and r_norm[i] > 1e-3
-        ci = c[i]
-        keep = z[i] != 0.0
-        if np.any(keep) and abs(ci[keep].sum()) > 1e-3:
-            ci = np.where(keep, ci, 0.0)
-            ci = ci / ci.sum()
-        coeffs.append(ci)
-        stats.append(RowStats(int(iterations[i]), float(r_norm[i]),
-                              float(s_norm[i]), converged, stalled))
-    return coeffs, stats
+    stalled = active & (r_norm > 1e-3)
+    # keep only the support the L1 step selected; renormalizing the
+    # surviving entries restores 1^T c = 1 exactly
+    kept = np.where(z != 0.0, c, 0.0)
+    total = kept.sum(axis=1, keepdims=True)
+    np.divide(kept, total, out=c, where=np.abs(total) > 1e-3)
+    stats = [RowStats(int(n), float(r), float(s), not a, bool(st))
+             for n, r, s, a, st in zip(iterations, r_norm, s_norm, active, stalled)]
+    return c, stats
 
 
 def weight_matrix(C, X):
@@ -299,15 +235,11 @@ def weight_matrix(C, X):
     get near-total weight instead of a division by zero.  Rows whose
     normalizer vanishes are left zero.
     """
-    P = C.shape[0]
-    Xc = np.maximum(X, 1e-12)
-    Omega = np.zeros_like(C)
-    for i in range(P):
-        ratios = C[i] / Xc[i]
-        ratios[i] = 0.0
-        denom = ratios.sum()
-        if abs(denom) > 1e-12:
-            Omega[i] = ratios / denom
+    ratios = C / np.maximum(X, 1e-12)
+    np.fill_diagonal(ratios, 0.0)
+    denom = ratios.sum(axis=1, keepdims=True)
+    Omega = np.zeros_like(ratios)
+    np.divide(ratios, denom, out=Omega, where=np.abs(denom) > 1e-12)
     return WeightMatrix(Omega)
 
 

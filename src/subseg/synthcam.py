@@ -84,6 +84,8 @@ class TrajectoryMatrix:
             raise ValueError("data must be 2F x P")
         if self.mask.shape != self.data.shape:
             raise ValueError("mask must match data shape")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("trajectory coordinates must be finite")
         if np.any(self.data[~self.mask] != 0.0):
             raise ValueError("masked-out entries must be zero")
 

@@ -79,6 +79,26 @@ def test_segment_parse_failure_exit_3(tmp_path):
     assert run(["segment", str(bad)]) == 3
 
 
+def test_segment_non_finite_coordinate_exit_3(tmp_path, scene_file):
+    lines = scene_file.read_text().splitlines()
+    row = lines[1].split()
+    row[0] = "nan"
+    lines[1] = " ".join(row)
+    bad = tmp_path / "nan.traj"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["segment", str(bad)]) == 3
+
+
+def test_segment_more_motions_than_points_exit_2(tmp_path, scene_file, capsys):
+    lines = scene_file.read_text().splitlines()
+    F, P, _ = lines[0].split()
+    lines[0] = f"{F} {P} {int(P) + 1}"
+    bad = tmp_path / "toomany.traj"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["segment", str(bad)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_segment_pca_flag(tmp_path, scene_file):
     assert run(["segment", str(scene_file), "--projector", "pca",
                 "--labels-out", str(tmp_path / "p.labels")]) == 0

@@ -173,6 +173,12 @@ def test_segment_noiseless_two_motions_exact():
                                      "error_matrix", "clustering"}
     assert len(report["eigenvalues"]) == 2
     assert report["labels"] == labeling.labels.tolist()
+    solver = report["solver"]
+    assert set(solver) == {"rows", "rows_converged", "rows_capped",
+                           "stalled_rows", "max_primal_residual",
+                           "mean_iterations"}
+    assert solver["rows"] == W.points
+    assert solver["rows_converged"] + solver["rows_capped"] == W.points
 
 
 def test_segment_label_permutation_metamorphic():
@@ -195,3 +201,9 @@ def test_segment_config_validation():
         SegmentConfig(n=0)
     with pytest.raises(ValueError):
         SegmentConfig(n=2, projector="nope")
+
+
+def test_segment_rejects_more_motions_than_points():
+    W = subseg.TrajectoryMatrix.from_dense(np.ones((6, 4)))
+    with pytest.raises(ValueError, match="exceeds"):
+        segment(W, SegmentConfig(n=5))

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -47,10 +49,33 @@ def test_length_mismatch():
         misclassification(lab([0, 1]), lab([0, 1, 0]))
 
 
-def test_too_many_clusters_rejected():
-    truth = lab(np.arange(11), 11)
-    with pytest.raises(ValueError):
-        misclassification(truth, truth)
+def brute_force_error(confusion):
+    """Reference: minimum error over every bijection, by enumeration."""
+    n = confusion.shape[0]
+    best = max(sum(confusion[i, perm[i]] for i in range(n))
+               for perm in permutations(range(n)))
+    return 1.0 - best / confusion.sum()
+
+
+def test_many_clusters_scored_exactly():
+    truth = lab(np.repeat(np.arange(12), 5), 12)
+    pred_labels = (truth.labels + 3) % 12
+    pred_labels[:4] = 11          # four points of cluster 0 go astray
+    report = misclassification(lab(pred_labels, 12), truth)
+    assert report.misclassification == pytest.approx(4 / 60)
+    assert report.best_permutation == {(i + 3) % 12: i for i in range(12)}
+
+
+def test_matches_brute_force_bijection_search():
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        P = int(rng.integers(n, 40))
+        truth = lab(rng.integers(0, n, size=P), n)
+        pred = lab(rng.integers(0, n, size=P), n)
+        report = misclassification(pred, truth)
+        assert report.misclassification == pytest.approx(
+            brute_force_error(report.confusion), abs=1e-12)
 
 
 def test_permutation_invariance():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from subseg import neighbors as nb
+from subseg.clustering import SegmentConfig, segment
 from subseg.neighbors import (AdmmParams, neighbor_objective,
                               nsi, nsi_dissimilarity_rows, proximity_weights,
                               search_area, solve_all_neighbors,
@@ -142,15 +144,38 @@ def test_solver_deterministic():
     assert np.array_equal(c1, c2)
 
 
-def test_batch_matches_per_row(monkeypatch):
+def test_batch_matches_per_row():
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
     batch = solve_all_neighbors(G, size=12)
-    monkeypatch.setenv("SUBSEG_THREADS", "2")
-    per_row = solve_all_neighbors(G, size=12)
-    assert np.array_equal(batch.C, per_row.C)
-    assert [s.iterations for s in batch.stats] == \
-        [s.iterations for s in per_row.stats]
+    _, X = nsi_dissimilarity_rows(G)
+    for i, cand in enumerate(batch.candidates):
+        c, stats = solve_sparse_neighbors(X[i, cand])
+        assert np.array_equal(batch.C[i, cand], c)
+        assert batch.stats[i].iterations == stats.iterations
+    # rows freeze at different iterations, so the check covers freezing
+    assert len({s.iterations for s in batch.stats}) > 1
+
+
+def test_solution_carries_distance_matrix():
+    W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
+    G = pca_project(W, 5)
+    assert np.array_equal(solve_all_neighbors(G, size=12).X,
+                          nsi_dissimilarity_rows(G)[1])
+
+
+def test_segment_builds_nsi_matrix_once(monkeypatch):
+    calls = []
+    original = nb.nsi_dissimilarity_rows
+
+    def counting(subspace):
+        calls.append(subspace)
+        return original(subspace)
+
+    monkeypatch.setattr(nb, "nsi_dissimilarity_rows", counting)
+    W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
+    segment(W, SegmentConfig(n=2))
+    assert len(calls) == 1
 
 
 def test_solution_contract():
