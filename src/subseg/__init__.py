@@ -30,7 +30,6 @@ from .projection import (
 )
 from .neighbors import (
     AdmmParams,
-    NsiMatrix,
     SparseNeighborSolution,
     WeightMatrix,
     nsi,
@@ -59,6 +58,6 @@ from .clustering import (
     segment,
     spectral_embed,
 )
-from .metrics import ScoreReport, aggregate, format_table, misclassification
+from .metrics import ScoreReport, misclassification
 
 __version__ = "0.1.0"

@@ -119,6 +119,10 @@ def cmd_segment(args):
         print(f"number of motions {n} exceeds the {W.points} trajectories",
               file=sys.stderr)
         return EXIT_CONFIG
+    if args.m > min(W.data.shape):
+        print(f"m = {args.m} exceeds min(2F, P) = {min(W.data.shape)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = clustering.SegmentConfig(
             n=n, projector=args.projector, m=args.m, gamma=args.gamma,

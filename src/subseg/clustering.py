@@ -25,10 +25,12 @@ class EmptyCluster(RuntimeError):
 
 @dataclass
 class Affinity:
-    """Symmetric nonnegative affinity with a connectivity diagnostic."""
+    """Symmetric nonnegative affinity with a connectivity diagnostic and
+    the residual scale it used (None under ``raw_error``)."""
 
     A: np.ndarray
     n_components: int
+    sigma_e: float
 
 
 @dataclass
@@ -62,6 +64,8 @@ class SegmentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
 
@@ -76,6 +80,7 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     e = E.data
     if raw_error:
         S = np.abs(e)
+        sigma_e = None
     else:
         if sigma_e is None:
             positive = e[e > 0]
@@ -85,7 +90,7 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     np.fill_diagonal(B, 0.0)
     A = 0.5 * (B + B.T)
     n_comp, _ = connected_components(csr_matrix(A > 0), directed=False)
-    return Affinity(A, int(n_comp))
+    return Affinity(A, int(n_comp), sigma_e)
 
 
 def normalized_laplacian(A):
@@ -181,6 +186,7 @@ def segment(W, config):
     labeling = kmeans(embedding.U, config.n, config.restarts, config.seed)
     report["stages"]["clustering"] = clock() - t0
     report["connected_components"] = affinity.n_components
+    report["sigma_e"] = affinity.sigma_e
     report["eigenvalues"] = [float(v) for v in embedding.eigenvalues]
     report["labels"] = [int(v) for v in labeling.labels]
     return labeling, report

@@ -1,7 +1,6 @@
 """Misclassification scoring with optimal label-bijection matching."""
 
 from dataclasses import dataclass
-from statistics import mean, median
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -46,29 +45,3 @@ def misclassification(pred, truth):
                        {int(i): int(j) for i, j in zip(rows, cols)},
                        confusion)
 
-
-def aggregate(reports, group_keys=None):
-    """Per-group mean and median misclassification in percent."""
-    if not reports:
-        raise ValueError("need at least one report")
-    if group_keys is None:
-        group_keys = ["all"] * len(reports)
-    if len(group_keys) != len(reports):
-        raise ValueError("one group key per report")
-
-    groups = {}
-    for key, report in zip(group_keys, reports):
-        value = report.misclassification if isinstance(report, ScoreReport) else float(report)
-        groups.setdefault(key, []).append(100.0 * value)
-    return {key: {"mean": mean(vals), "median": median(vals), "count": len(vals)}
-            for key, vals in groups.items()}
-
-
-def format_table(aggregated):
-    """Render the aggregate dict as an aligned text table."""
-    lines = [f"{'group':<16}{'count':>6}{'mean %':>10}{'median %':>10}"]
-    for key in sorted(aggregated, key=str):
-        row = aggregated[key]
-        lines.append(f"{str(key):<16}{row['count']:>6}"
-                     f"{row['mean']:>10.2f}{row['median']:>10.2f}")
-    return "\n".join(lines)

@@ -36,13 +36,6 @@ class RowStats:
 
 
 @dataclass
-class NsiMatrix:
-    """P x P symmetric matrix of NSI similarity values in [0, 1]."""
-
-    data: np.ndarray
-
-
-@dataclass
 class SparseNeighborSolution:
     """Row-stacked sparse coefficients with per-row solve metadata."""
 
@@ -82,25 +75,31 @@ def nsi(a, b):
 def nsi_dissimilarity_rows(subspace):
     """All pairwise NSI values and the derived distances X = 1 - NSI.
 
+    Returns the pair (sim, X) of P x P arrays; sim is symmetric in [0, 1].
     Small distance means geometrically close, which is what both the
     solver weights and the final weight-matrix normalization require.
     """
     G = subspace.data
     sim = (G.T @ G) ** 2
     sim = np.clip(0.5 * (sim + sim.T), 0.0, 1.0)
-    return NsiMatrix(sim), 1.0 - sim
+    return sim, 1.0 - sim
 
 
-def search_area(x_row, self_index, size):
+def search_area(x, self_index, size):
     """Indices of the ``size`` smallest distances, excluding the point itself.
 
-    Ties resolve to the lower index (stable sort).
+    Works along the last axis: one row of distances with a scalar
+    ``self_index``, or stacked rows with one self index per row.  Ties
+    resolve to the lower index (stable sort).
     """
     if size < 1:
         raise ValueError("search area size must be >= 1")
-    order = np.argsort(x_row, kind="stable")
-    order = order[order != self_index]
-    return order[:size]
+    # only a row's first size + 1 entries can be kept: drop the point
+    # itself if it is among them, else the last one
+    order = np.argsort(x, axis=-1, kind="stable")[..., :size + 1]
+    keep = order != np.expand_dims(self_index, -1)
+    keep &= np.cumsum(keep, axis=-1) <= size
+    return order[keep].reshape(order.shape[:-1] + (-1,))
 
 
 def proximity_weights(x, sigma):
@@ -146,7 +145,7 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     _, X = nsi_dissimilarity_rows(subspace)
     P = X.shape[0]
     size = min(size, P - 1)
-    candidates = np.stack([search_area(X[i], i, size) for i in range(P)])
+    candidates = search_area(X, np.arange(P), size)
     coeffs, stats = _solve_rows(np.take_along_axis(X, candidates, axis=1),
                                 sigma, lam, admm)
     C = np.zeros((P, P))
@@ -193,27 +192,28 @@ def _solve_rows(x_all, sigma, lam, admm):
     sqrt_k = np.sqrt(k)
 
     for it in range(1, admm.max_iter + 1):
-        v = admm.rho * (z[active] - u[active])
-        w = H[active] * v
-        nu = (w.sum(axis=1, keepdims=True) - 1.0) / H_sum[active]
-        c_a = w - nu * H[active]
+        w = H * (admm.rho * (z - u))
+        nu = (w.sum(axis=1, keepdims=True) - 1.0) / H_sum
+        c_new = w - nu * H
+        z_new = _soft_threshold(c_new + u, thresh)
+        u_new = u + c_new - z_new
 
-        z_old = z[active]
-        z_a = _soft_threshold(c_a + u[active], thresh[active])
-        u_a = u[active] + c_a - z_a
-
-        c[active], z[active], u[active] = c_a, z_a, u_a
-        iterations[active] = it
-
-        r = np.linalg.norm(c_a - z_a, axis=1)
-        s = admm.rho * np.linalg.norm(z_a - z_old, axis=1)
-        r_norm[active], s_norm[active] = r, s
+        r = np.linalg.norm(c_new - z_new, axis=1)
+        s = admm.rho * np.linalg.norm(z_new - z, axis=1)
         eps_pri = sqrt_k * admm.tol_abs + admm.tol_rel * np.maximum(
-            np.linalg.norm(c_a, axis=1), np.linalg.norm(z_a, axis=1))
-        eps_dual = sqrt_k * admm.tol_abs + admm.tol_rel * admm.rho * np.linalg.norm(u_a, axis=1)
-        done = (r <= eps_pri) & (s <= eps_dual)
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
+            np.linalg.norm(c_new, axis=1), np.linalg.norm(z_new, axis=1))
+        eps_dual = sqrt_k * admm.tol_abs + admm.tol_rel * admm.rho * np.linalg.norm(u_new, axis=1)
+
+        # every row is stepped; only the still-active ones keep the step
+        rows = active[:, None]
+        np.copyto(c, c_new, where=rows)
+        np.copyto(z, z_new, where=rows)
+        np.copyto(u, u_new, where=rows)
+        np.copyto(r_norm, r, where=active)
+        np.copyto(s_norm, s, where=active)
+        iterations[active] = it
+        # written as a negation so that a NaN residual keeps its row active
+        active &= ~((r <= eps_pri) & (s <= eps_dual))
         if not active.any():
             break
 

@@ -126,6 +126,8 @@ def gpower_block(W, params):
     A = W.data
     if not np.any(A):
         raise ValueError("trajectory matrix is zero")
+    if params.m > min(A.shape):
+        raise ValueError("m must be <= min(2F, P)")
     params.check_feasible(A)
     m, gamma, mu = params.m, params.gamma, params.mu
 

@@ -99,6 +99,17 @@ def test_segment_more_motions_than_points_exit_2(tmp_path, scene_file, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("projector", ["spca", "pca"])
+def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
+    path = tmp_path / "short.traj"
+    assert run(["generate", "--points-per-motion", "20", "--frames", "3",
+                "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["segment", str(path), "--m", "8",
+                "--projector", projector]) == 2
+    assert "exceeds min(2F, P)" in capsys.readouterr().err
+
+
 def test_segment_pca_flag(tmp_path, scene_file):
     assert run(["segment", str(scene_file), "--projector", "pca",
                 "--labels-out", str(tmp_path / "p.labels")]) == 0

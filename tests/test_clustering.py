@@ -50,9 +50,11 @@ def test_affinity_exactly_symmetric():
 
 def test_affinity_raw_error_variant():
     E = two_block_error(2)
-    A = build_affinity(np.zeros((4, 4)), E, raw_error=True).A
+    affinity = build_affinity(np.zeros((4, 4)), E, raw_error=True)
+    A = affinity.A
     assert A[0, 2] == 1.0   # literal |e| strengthens cross links
     assert A[0, 1] == 0.0
+    assert affinity.sigma_e is None
 
 
 def test_laplacian_complete_graph_eigenvalues():
@@ -173,6 +175,7 @@ def test_segment_noiseless_two_motions_exact():
                                      "error_matrix", "clustering"}
     assert len(report["eigenvalues"]) == 2
     assert report["labels"] == labeling.labels.tolist()
+    assert report["sigma_e"] > 0
     solver = report["solver"]
     assert set(solver) == {"rows", "rows_converged", "rows_capped",
                            "stalled_rows", "max_primal_residual",
@@ -201,6 +204,8 @@ def test_segment_config_validation():
         SegmentConfig(n=0)
     with pytest.raises(ValueError):
         SegmentConfig(n=2, projector="nope")
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        SegmentConfig(n=2, m=0)
 
 
 def test_segment_rejects_more_motions_than_points():

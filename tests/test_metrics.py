@@ -3,8 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from subseg.metrics import (LengthMismatch, aggregate, format_table,
-                            misclassification)
+from subseg.metrics import LengthMismatch, misclassification
 from subseg.synthcam import Labeling
 
 
@@ -105,30 +104,3 @@ def test_error_range_bound():
         err = misclassification(lab(a, 3), lab(b, 3)).misclassification
         assert 0.0 <= err <= 1 - 1 / 3 + 1e-12
 
-
-def test_aggregate_single_report():
-    table = aggregate([0.0])
-    assert table["all"] == {"mean": 0.0, "median": 0.0, "count": 1}
-
-
-def test_aggregate_mean_median():
-    table = aggregate([0.0, 0.0, 0.03])
-    assert table["all"]["mean"] == pytest.approx(1.0)
-    assert table["all"]["median"] == 0.0
-
-
-def test_aggregate_grouped_by_motion_count():
-    reports = [0.0, 0.02, 0.01, 0.05]
-    keys = ["2 motions", "2 motions", "3 motions", "3 motions"]
-    table = aggregate(reports, keys)
-    assert table["2 motions"]["mean"] == pytest.approx(1.0)
-    assert table["3 motions"]["mean"] == pytest.approx(3.0)
-    rendered = format_table(table)
-    assert "2 motions" in rendered and "3 motions" in rendered
-
-
-def test_aggregate_validation():
-    with pytest.raises(ValueError):
-        aggregate([])
-    with pytest.raises(ValueError):
-        aggregate([0.0], ["a", "b"])

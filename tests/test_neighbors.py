@@ -76,14 +76,14 @@ def test_nsi_symmetry_and_range():
 def test_dissimilarity_matches_pairwise_nsi():
     rng = np.random.default_rng(1)
     G = unit_subspace(rng.normal(size=(5, 12)))
-    mat, X = nsi_dissimilarity_rows(G)
+    sim, X = nsi_dissimilarity_rows(G)
     for i in range(12):
         for j in range(12):
             value = nsi(G.data[:, i], G.data[:, j])
             assert X[i, j] == pytest.approx(1.0 - value, abs=1e-9)
-            assert mat.data[i, j] == pytest.approx(value, abs=1e-9)
-    assert np.max(np.abs(mat.data - mat.data.T)) < 1e-12
-    assert np.allclose(np.diag(mat.data), 1.0, atol=1e-12)
+            assert sim[i, j] == pytest.approx(value, abs=1e-9)
+    assert np.max(np.abs(sim - sim.T)) < 1e-12
+    assert np.allclose(np.diag(sim), 1.0, atol=1e-12)
 
 
 def test_search_area_all_when_unconstrained():
@@ -102,6 +102,23 @@ def test_search_area_tie_break_lower_index():
     x = np.array([0.9, 0.1, 0.1, 0.1, 0.1, 0.0])
     got = search_area(x, 5, 2)
     assert got.tolist() == [1, 2]
+    # stacked rows: ties at distance 0, and points 1 and 3 duplicate each
+    # other, so each sits at distance 0 from itself and from the other;
+    # every row equals the single-row call
+    X = np.array([[0.0, 0.5, 0.0, 0.5, 0.2],
+                  [0.5, 0.0, 0.3, 0.0, 0.3],
+                  [0.0, 0.3, 0.0, 0.3, 0.0],
+                  [0.5, 0.0, 0.3, 0.0, 0.3],
+                  [0.2, 0.3, 0.0, 0.3, 0.0]])
+    for size in (1, 2, 3, 4, 10):
+        got = search_area(X, np.arange(5), size)
+        assert got.shape == (5, min(size, 4))
+        for i in range(5):
+            assert got[i].tolist() == search_area(X[i], i, size).tolist()
+    assert search_area(X, np.arange(5), 2).tolist() == \
+        [[2, 4], [3, 2], [0, 4], [1, 2], [2, 0]]
+    # the point itself sorts after the search area
+    assert search_area(np.array([0.3, 0.1, 0.2, 0.0]), 0, 2).tolist() == [3, 1]
 
 
 def test_single_candidate_forced():
@@ -189,8 +206,7 @@ def test_solution_contract():
         assert sol.C[i, i] == 0.0
         support = set(np.flatnonzero(sol.C[i]).tolist())
         assert support <= set(sol.candidates[i].tolist())
-        assert set(sol.candidates[i].tolist()) == \
-            set(search_area(X[i], i, 20).tolist())
+        assert sol.candidates[i].tolist() == search_area(X[i], i, 20).tolist()
 
 
 def test_weight_matrix_one_hot():

@@ -105,6 +105,17 @@ def test_gpower_rejects_infeasible_gamma():
         gpower_block(W, SpcaParams(m=2, gamma=2 * bound, mu=[1.0, 0.5]))
 
 
+def test_projectors_reject_m_above_min_dimension():
+    rng = np.random.default_rng(4)
+    for rows, cols in ((6, 20), (12, 5)):
+        W = random_trajectory(rng, rows, cols)
+        m = min(rows, cols) + 2
+        for project in (lambda: pca_project(W, m),
+                        lambda: gpower_block(W, SpcaParams(m=m))):
+            with pytest.raises(ValueError, match=r"m must be <= min\(2F, P\)"):
+                project()
+
+
 def test_spca_params_validation():
     with pytest.raises(ValueError):
         SpcaParams(m=2, mu=[1.0, 1.0])       # not distinct
