@@ -1,7 +1,8 @@
 """Command-line front end: generate | segment | eval | report.
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error,
-4 pipeline failure.
+Exit codes: 0 success, 2 rejected request (any ValueError the library
+raises for the options and the input, or an unwritable output), 3 input
+parse error, 4 pipeline failure.
 """
 
 import argparse
@@ -95,10 +96,12 @@ def cmd_generate(args):
             missing_rate=args.missing_rate,
             seed=args.seed)
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, f"configuration error: {exc}")
     W, labeling = synthcam.make_scene(config)
-    synthcam.write_trajectory(args.out, W, labeling)
+    try:
+        synthcam.write_trajectory(args.out, W, labeling)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot write {args.out}: {exc}")
     print(f"wrote {args.out}: F={W.frames} P={W.points} n={labeling.n}")
     return 0
 
@@ -107,54 +110,39 @@ def cmd_segment(args):
     try:
         W, truth = synthcam.read_trajectory(args.input)
     except (OSError, ValueError) as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"cannot read {args.input}: {exc}")
+    if args.n is None and truth is None:
+        return _fail(EXIT_CONFIG,
+                     "number of motions unknown: pass --n or provide labels")
 
-    n = args.n if args.n is not None else (truth.n if truth else 0)
-    if n < 1:
-        print("number of motions unknown: pass --n or provide labels",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if n > W.points:
-        print(f"number of motions {n} exceeds the {W.points} trajectories",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if args.m > min(W.data.shape):
-        print(f"m = {args.m} exceeds min(2F, P) = {min(W.data.shape)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    # the library owns every request check: its ValueError is a rejected
+    # request (exit 2); LinAlgError, a ValueError subclass, is not
     try:
         config = clustering.SegmentConfig(
-            n=n, projector=args.projector, m=args.m, gamma=args.gamma,
+            n=truth.n if args.n is None else args.n,
+            projector=args.projector, m=args.m, gamma=args.gamma,
             neighbors=args.neighbors, lam=args.lam,
             sigma=_auto_or_float(args.sigma),
             sigma_e=_auto_or_float(args.sigma_e),
             raw_error=args.affinity_raw_error, seed=args.seed)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         labeling, report = clustering.segment(W, config)
+    except np.linalg.LinAlgError as exc:
+        return _fail(EXIT_PIPELINE, f"pipeline failed: {exc}")
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, f"rejected request: {exc}")
     except Exception as exc:
-        print(f"pipeline failed: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
+        return _fail(EXIT_PIPELINE, f"pipeline failed: {exc}")
 
-    labels_path = args.labels_out or args.input + ".labels"
-    with open(labels_path, "w") as fh:
-        fh.write("\n".join(str(v) for v in labeling.labels) + "\n")
-    print(f"wrote {labels_path}")
     if report["solver"]["stalled_rows"]:
         print("stalled solver rows:",
               " ".join(str(r) for r in report["solver"]["stalled_rows"]),
               file=sys.stderr)
-
+    outputs = [(args.labels_out or args.input + ".labels",
+                "\n".join(str(v) for v in labeling.labels) + "\n")]
     if args.report:
         report["first_frame"] = {"x": list(W.data[0]), "y": list(W.data[1])}
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"wrote {args.report}")
-    return 0
+        outputs.append((args.report, json.dumps(report, indent=2)))
+    return _write(outputs)
 
 
 def cmd_eval(args):
@@ -164,17 +152,15 @@ def cmd_eval(args):
             raise ValueError("trajectory file carries no labels")
         with open(args.labels) as fh:
             pred_labels = [int(line) for line in fh if line.strip()]
+        pred = synthcam.Labeling(np.array(pred_labels),
+                                 max(pred_labels, default=0) + 1)
     except (OSError, ValueError) as exc:
-        print(f"cannot read inputs: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"cannot read inputs: {exc}")
 
-    pred = synthcam.Labeling(np.array(pred_labels),
-                             max(pred_labels, default=0) + 1)
     try:
         score = metrics.misclassification(pred, truth)
     except metrics.LengthMismatch as exc:
-        print(f"cannot score: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"cannot score: {exc}")
     print(json.dumps({
         "misclassification": score.misclassification,
         "misclassification_percent": 100.0 * score.misclassification,
@@ -194,13 +180,8 @@ def cmd_report(args):
         if not labels or len(xs) != len(labels) or len(ys) != len(labels):
             raise ValueError("labels and coordinates disagree")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"malformed report {args.report}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    with open(args.out, "w") as fh:
-        fh.write(render_svg(xs, ys, labels))
-    print(f"wrote {args.out}")
-    return 0
+        return _fail(EXIT_PARSE, f"malformed report {args.report}: {exc}")
+    return _write([(args.out, render_svg(xs, ys, labels))])
 
 
 def render_svg(xs, ys, labels, width=640, height=480):
@@ -232,6 +213,24 @@ def render_svg(xs, ys, labels, width=640, height=480):
                      f'font-family="sans-serif">cluster {lab}: {count}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def _fail(code, message):
+    print(message, file=sys.stderr)
+    return code
+
+
+def _write(outputs):
+    """Write each (path, text) pair in order; exit 2 at the first path
+    that cannot be written."""
+    for path, text in outputs:
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
+        print(f"wrote {path}")
+    return 0
 
 
 def _per_motion(raw, n, cast, name):

@@ -85,6 +85,8 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
         if sigma_e is None:
             positive = e[e > 0]
             sigma_e = float(np.median(positive)) if positive.size else 1.0
+        elif sigma_e <= 0:
+            raise ValueError("sigma_e must be > 0")
         S = np.exp(-e / sigma_e)
     B = np.abs(Omega) + S
     np.fill_diagonal(B, 0.0)

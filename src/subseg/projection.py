@@ -104,8 +104,7 @@ def pca_project(W, m):
     warning is issued.
     """
     A = W.data
-    if m > min(A.shape):
-        raise ValueError("m must be <= min(2F, P)")
+    _check_m(m, A)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > 0))
     if rank < m:
@@ -126,8 +125,7 @@ def gpower_block(W, params):
     A = W.data
     if not np.any(A):
         raise ValueError("trajectory matrix is zero")
-    if params.m > min(A.shape):
-        raise ValueError("m must be <= min(2F, P)")
+    _check_m(params.m, A)
     params.check_feasible(A)
     m, gamma, mu = params.m, params.gamma, params.mu
 
@@ -182,6 +180,12 @@ def assemble_global(W, loadings):
     """Normalize the projected data Z^T W column-wise into the global subspace."""
     proj = loadings.Z.T @ W.data
     return GlobalSubspace(_normalize_columns(proj), loadings.Z.shape[1])
+
+
+def _check_m(m, A):
+    if m > min(A.shape):
+        raise ValueError(f"m must be <= min(2F, P); m = {m} exceeds "
+                         f"min(2F, P) = {min(A.shape)}")
 
 
 def _normalize_columns(M):

@@ -84,8 +84,13 @@ class TrajectoryMatrix:
             raise ValueError("data must be 2F x P")
         if self.mask.shape != self.data.shape:
             raise ValueError("mask must match data shape")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("trajectory coordinates must be finite")
+        # NaN, inf and squares that overflow all make this sum non-finite;
+        # the solvers square the coordinates, so none of them can run
+        with np.errstate(over="ignore"):
+            square_sum = np.vdot(self.data, self.data)
+        if not np.isfinite(square_sum):
+            raise ValueError("trajectory coordinates must be finite and "
+                             "their sum of squares must not overflow")
         if np.any(self.data[~self.mask] != 0.0):
             raise ValueError("masked-out entries must be zero")
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,95 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     assert "exceeds min(2F, P)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--gamma", "-1"], "gamma entries must be >= 0"),
+    (["--gamma", "1e9"], "exceeds the feasibility bound"),
+    (["--neighbors", "0"], "search area size must be >= 1"),
+    (["--lambda", "-1"], "lambda must be >= 0"),
+    (["--sigma", "0"], "sigma must be > 0"),
+    (["--sigma-e", "0"], "sigma_e must be > 0"),
+    (["--sigma-e", "-1"], "sigma_e must be > 0"),
+    (["--m", "0"], "m must be >= 1"),
+    (["--n", "61"], "n = 61 exceeds the 60 trajectories"),
+    (["--m", "41"], "m = 41 exceeds min(2F, P) = 40"),
+    (["--m", "41", "--projector", "pca"], "m = 41 exceeds min(2F, P) = 40"),
+])
+def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
+                                         options, message):
+    capsys.readouterr()
+    labels_path = tmp_path / "pred.labels"
+    assert run(["segment", str(scene_file), "--labels-out", str(labels_path),
+                *options]) == 2
+    assert message in capsys.readouterr().err
+    assert not labels_path.exists()
+
+
+def test_segment_zero_trajectory_exit_2(tmp_path, scene_file, capsys):
+    lines = scene_file.read_text().splitlines()
+    for r in range(1, 41):
+        row = lines[r].split()
+        row[5] = "0"
+        lines[r] = " ".join(row)
+    bad = tmp_path / "zero.traj"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["segment", str(bad), "--labels-out", str(tmp_path / "l")]) == 2
+    err = capsys.readouterr().err
+    assert "projected trajectory 5 is numerically zero" in err
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, RuntimeError])
+def test_segment_pipeline_failure_exit_4(tmp_path, scene_file, capsys,
+                                         monkeypatch, error):
+    def fail(W, config):
+        raise error("solver broke")
+
+    monkeypatch.setattr(cli.clustering, "segment", fail)
+    capsys.readouterr()
+    assert run(["segment", str(scene_file),
+                "--labels-out", str(tmp_path / "l")]) == 4
+    assert "pipeline failed: solver broke" in capsys.readouterr().err
+
+
+def test_segment_overflowing_coordinate_exit_3(tmp_path):
+    path = tmp_path / "scene.traj"
+    assert run(["generate", "--points-per-motion", "30", "--frames", "10",
+                "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    row = lines[1].split()
+    row[0] = "1e300"
+    lines[1] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    # a subprocess with a timeout, so that a regression to the old hang
+    # inside the sparse-PCA SVD fails instead of stalling the suite
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "subseg.cli", "segment",
+                           str(path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 3
+    assert "sum of squares must not overflow" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["segment", "segment-report", "generate",
+                                     "report"])
+def test_unwritable_output_exit_2(tmp_path, scene_file, capsys, command):
+    missing = str(tmp_path / "missing" / "out")
+    report_path = tmp_path / "r.json"
+    report_path.write_text(json.dumps({
+        "labels": [0, 1], "first_frame": {"x": [0.0, 1.0], "y": [0.0, 1.0]}}))
+    argv = {
+        "segment": ["segment", str(scene_file), "--labels-out", missing],
+        "segment-report": ["segment", str(scene_file), "--labels-out",
+                           str(tmp_path / "l"), "--report", missing],
+        "generate": ["generate", "--out", missing],
+        "report": ["report", str(report_path), missing],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f"cannot write {missing}" in capsys.readouterr().err
+
+
 def test_segment_pca_flag(tmp_path, scene_file):
     assert run(["segment", str(scene_file), "--projector", "pca",
                 "--labels-out", str(tmp_path / "p.labels")]) == 0
@@ -130,6 +223,14 @@ def test_eval_length_mismatch_exit_3(tmp_path, scene_file):
     labels_path = tmp_path / "short.labels"
     labels_path.write_text("0\n1\n")
     assert run(["eval", str(scene_file), str(labels_path)]) == 3
+
+
+def test_eval_negative_label_exit_3(tmp_path, scene_file, capsys):
+    labels_path = tmp_path / "neg.labels"
+    labels_path.write_text("\n".join(["-1"] + ["0"] * 59) + "\n")
+    capsys.readouterr()
+    assert run(["eval", str(scene_file), str(labels_path)]) == 3
+    assert "labels must lie in [0, n)" in capsys.readouterr().err
 
 
 def test_report_svg(tmp_path, scene_file):

@@ -57,6 +57,12 @@ def test_affinity_raw_error_variant():
     assert affinity.sigma_e is None
 
 
+@pytest.mark.parametrize("sigma_e", [0.0, -1.0])
+def test_affinity_rejects_nonpositive_sigma_e(sigma_e):
+    with pytest.raises(ValueError, match="sigma_e must be > 0"):
+        build_affinity(np.zeros((4, 4)), two_block_error(2), sigma_e=sigma_e)
+
+
 def test_laplacian_complete_graph_eigenvalues():
     A = np.ones((3, 3)) - np.eye(3)
     vals = np.linalg.eigvalsh(normalized_laplacian(A))

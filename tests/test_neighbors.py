@@ -3,10 +3,10 @@ import pytest
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
-from subseg.neighbors import (AdmmParams, neighbor_objective,
-                              nsi, nsi_dissimilarity_rows, proximity_weights,
-                              search_area, solve_all_neighbors,
-                              solve_sparse_neighbors, weight_matrix)
+from subseg.neighbors import (neighbor_objective, nsi, nsi_dissimilarity_rows,
+                              proximity_weights, search_area,
+                              solve_all_neighbors, solve_sparse_neighbors,
+                              weight_matrix)
 from subseg.projection import GlobalSubspace, pca_project
 from subseg.synthcam import SceneConfig, make_scene
 

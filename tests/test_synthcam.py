@@ -183,3 +183,16 @@ def test_masked_entries_must_be_zero():
     mask[3, 1] = False
     with pytest.raises(ValueError):
         TrajectoryMatrix(data, mask, 2, 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_trajectory_coordinates_must_be_finite_without_overflow(value):
+    data = np.ones((4, 3))
+    data[2, 1] = value
+    with pytest.raises(ValueError, match="sum of squares must not overflow"):
+        TrajectoryMatrix.from_dense(data)
+
+
+def test_trajectory_sum_of_squares_may_approach_float_limit():
+    W = TrajectoryMatrix.from_dense(np.full((4, 3), np.sqrt(1.7e308 / 12)))
+    assert np.isfinite(np.vdot(W.data, W.data))
