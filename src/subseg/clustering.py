@@ -77,6 +77,8 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     subspace) means strong connection; the literal absolute-error variant
     stays available behind ``raw_error`` for comparison.
     """
+    if sigma_e is not None and sigma_e <= 0:
+        raise ValueError("sigma_e must be > 0")
     e = E.data
     if raw_error:
         S = np.abs(e)
@@ -85,8 +87,6 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
         if sigma_e is None:
             positive = e[e > 0]
             sigma_e = float(np.median(positive)) if positive.size else 1.0
-        elif sigma_e <= 0:
-            raise ValueError("sigma_e must be > 0")
         S = np.exp(-e / sigma_e)
     B = np.abs(Omega) + S
     np.fill_diagonal(B, 0.0)
@@ -168,13 +168,18 @@ def segment(W, config):
     Omega = nb.weight_matrix(solution.C, solution.X).Omega
     report["stages"]["sparse_neighbors"] = clock() - t0
     converged = sum(s.converged for s in solution.stats)
+    iterations = np.array([s.iterations for s in solution.stats])
+    p50, p90 = np.percentile(iterations, [50, 90])
     report["solver"] = {
         "rows": len(solution.stats),
         "rows_converged": converged,
         "rows_capped": len(solution.stats) - converged,
         "stalled_rows": solution.stalled_rows,
         "max_primal_residual": max(s.primal_residual for s in solution.stats),
-        "mean_iterations": float(np.mean([s.iterations for s in solution.stats])),
+        "mean_iterations": float(np.mean(iterations)),
+        "iterations_p50": float(p50),
+        "iterations_p90": float(p90),
+        "iterations_max": int(iterations.max()),
     }
 
     t0 = clock()

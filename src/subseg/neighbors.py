@@ -5,7 +5,11 @@ dissimilarities, then a weighted L1 problem with an affine constraint
 picks the few candidates spanning the same local subspace.  The solver is
 an alternating-direction scheme: an equality-constrained least-squares
 step, entrywise soft-thresholding, and dual ascent.  One vectorized loop
-solves all rows at once; a single row is solved as a batch of one.
+solves all rows at once; a single row is solved as a batch of one.  The
+loop writes into preallocated buffers and steps every row on every
+iteration; each row's result is recorded at the iteration it converges.
+Its iterates equal those of a plain per-row loop bit for bit; only the
+reported residual norms may differ from np.linalg.norm in the last ulp.
 """
 
 import warnings
@@ -144,6 +148,8 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     """
     _, X = nsi_dissimilarity_rows(subspace)
     P = X.shape[0]
+    if P < 2:
+        raise ValueError("need at least 2 trajectories")
     size = min(size, P - 1)
     candidates = search_area(X, np.arange(P), size)
     coeffs, stats = _solve_rows(np.take_along_axis(X, candidates, axis=1),
@@ -164,8 +170,18 @@ def _solve_rows(x_all, sigma, lam, admm):
     The quadratic step solves its KKT system in closed form (diagonal plus
     rank-one), the L1 step is soft-thresholding with per-entry thresholds
     lam*q/rho, and a scaled dual variable tracks the splitting constraint.
-    Each row stops updating at its own convergence iteration, so a row's
-    result does not depend on the other rows in the batch.
+    The stopping test is the primal/dual residual test of Boyd et al.
+    (2011), section 3.3.1.
+
+    Every update is written into preallocated buffers.  The iterate c, z, u
+    and the residual vectors c - z and z - z_prev live in two (5, rows, k)
+    stacks that swap roles each iteration, so the five row norms of the
+    stopping test take one square and one matrix-vector product.  Every row
+    is stepped on every iteration; a row's c, z, residuals and iteration
+    count are recorded at the iteration it converges, so its result does
+    not depend on the other rows in the batch.  The iterates are exactly
+    those of the textbook per-row loop; the residual norms are summed in
+    another order, so they can differ from np.linalg.norm in the last ulp.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -178,54 +194,85 @@ def _solve_rows(x_all, sigma, lam, admm):
         sigma = x_all.mean(axis=1, keepdims=True)
         sigma[sigma == 0] = 1.0
     thresh = lam * proximity_weights(x_all, sigma) / admm.rho
+    neg_thresh = -thresh
 
     H = 1.0 / (x_all ** 2 + admm.rho)
     H_sum = H.sum(axis=1, keepdims=True)
 
-    c = np.full((R, k), 1.0 / k)
-    z = c.copy()
-    u = np.zeros((R, k))
-    active = np.ones(R, dtype=bool)
+    # stack rows: c, z, u, c - z, z - z_prev
+    cur = np.zeros((5, R, k))
+    cur[:2] = 1.0 / k
+    nxt = np.empty_like(cur)
+    squares = np.empty_like(cur)
+    norms = np.empty((5, R))
+    ones = np.ones(k)
+    w, v, tmp = np.empty((3, R, k))
+    nu = np.empty((R, 1))
+    eps_abs = np.sqrt(k) * admm.tol_abs
+    dual_rel = admm.tol_rel * admm.rho
+
+    c_out = np.empty((R, k))
+    z_out = np.empty((R, k))
+    r_out = np.zeros(R)
+    s_out = np.zeros(R)
     iterations = np.zeros(R, dtype=int)
-    r_norm = np.zeros(R)
-    s_norm = np.zeros(R)
-    sqrt_k = np.sqrt(k)
+    active = np.ones(R, dtype=bool)
 
+    def record(rows, it, r, s):
+        c_out[rows] = cur[0, rows]
+        z_out[rows] = cur[1, rows]
+        r_out[rows] = r[rows]
+        s_out[rows] = s[rows]
+        iterations[rows] = it
+
+    it, r, s = 0, r_out, s_out  # what a zero-iteration run reports
     for it in range(1, admm.max_iter + 1):
-        w = H * (admm.rho * (z - u))
-        nu = (w.sum(axis=1, keepdims=True) - 1.0) / H_sum
-        c_new = w - nu * H
-        z_new = _soft_threshold(c_new + u, thresh)
-        u_new = u + c_new - z_new
+        z, u = cur[1], cur[2]
+        c_new, z_new, u_new = nxt[0], nxt[1], nxt[2]
+        # w = H*(rho*(z - u)); c = w - nu*H with nu = (1^T w - 1)/1^T H
+        np.subtract(z, u, out=w)
+        np.multiply(admm.rho, w, out=w)
+        np.multiply(H, w, out=w)
+        w.sum(axis=1, keepdims=True, out=nu)
+        np.subtract(nu, 1.0, out=nu)
+        np.divide(nu, H_sum, out=nu)
+        np.multiply(nu, H, out=tmp)
+        np.subtract(w, tmp, out=c_new)
+        # soft threshold of v = c + u: v - clip(v, -t, t)
+        np.add(c_new, u, out=v)
+        np.maximum(v, neg_thresh, out=tmp)
+        np.minimum(tmp, thresh, out=tmp)
+        np.subtract(v, tmp, out=z_new)
+        np.subtract(v, z_new, out=u_new)
+        np.subtract(c_new, z_new, out=nxt[3])
+        np.subtract(z_new, z, out=nxt[4])
 
-        r = np.linalg.norm(c_new - z_new, axis=1)
-        s = admm.rho * np.linalg.norm(z_new - z, axis=1)
-        eps_pri = sqrt_k * admm.tol_abs + admm.tol_rel * np.maximum(
-            np.linalg.norm(c_new, axis=1), np.linalg.norm(z_new, axis=1))
-        eps_dual = sqrt_k * admm.tol_abs + admm.tol_rel * admm.rho * np.linalg.norm(u_new, axis=1)
+        np.square(nxt, out=squares)
+        np.matmul(squares, ones, out=norms)
+        np.sqrt(norms, out=norms)
+        c_norm, z_norm, u_norm, r, s = norms
+        s = admm.rho * s
+        eps_pri = eps_abs + admm.tol_rel * np.maximum(c_norm, z_norm)
+        eps_dual = eps_abs + dual_rel * u_norm
+        cur, nxt = nxt, cur
+        # a NaN residual compares false, so its row stays active
+        done = active & (r <= eps_pri) & (s <= eps_dual)
+        if done.any():
+            record(done, it, r, s)
+            active &= ~done
+            if not active.any():
+                break
+    record(active, it, r, s)
 
-        # every row is stepped; only the still-active ones keep the step
-        rows = active[:, None]
-        np.copyto(c, c_new, where=rows)
-        np.copyto(z, z_new, where=rows)
-        np.copyto(u, u_new, where=rows)
-        np.copyto(r_norm, r, where=active)
-        np.copyto(s_norm, s, where=active)
-        iterations[active] = it
-        # written as a negation so that a NaN residual keeps its row active
-        active &= ~((r <= eps_pri) & (s <= eps_dual))
-        if not active.any():
-            break
-
-    stalled = active & (r_norm > 1e-3)
+    stalled = active & (r_out > 1e-3)
     # keep only the support the L1 step selected; renormalizing the
     # surviving entries restores 1^T c = 1 exactly
-    kept = np.where(z != 0.0, c, 0.0)
+    kept = np.where(z_out != 0.0, c_out, 0.0)
     total = kept.sum(axis=1, keepdims=True)
-    np.divide(kept, total, out=c, where=np.abs(total) > 1e-3)
+    np.divide(kept, total, out=c_out, where=np.abs(total) > 1e-3)
     stats = [RowStats(int(n), float(r), float(s), not a, bool(st))
-             for n, r, s, a, st in zip(iterations, r_norm, s_norm, active, stalled)]
-    return c, stats
+             for n, r, s, a, st in zip(iterations, r_out, s_out, active, stalled)]
+    return c_out, stats
 
 
 def weight_matrix(C, X):
@@ -241,7 +288,3 @@ def weight_matrix(C, X):
     Omega = np.zeros_like(ratios)
     np.divide(ratios, denom, out=Omega, where=np.abs(denom) > 1e-12)
     return WeightMatrix(Omega)
-
-
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)

@@ -126,6 +126,7 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--n", "61"], "n = 61 exceeds the 60 trajectories"),
     (["--m", "41"], "m = 41 exceeds min(2F, P) = 40"),
     (["--m", "41", "--projector", "pca"], "m = 41 exceeds min(2F, P) = 40"),
+    (["--sigma-e", "0", "--affinity-raw-error"], "sigma_e must be > 0"),
 ])
 def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                                          options, message):
@@ -135,6 +136,16 @@ def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                 *options]) == 2
     assert message in capsys.readouterr().err
     assert not labels_path.exists()
+
+
+def test_segment_one_trajectory_exit_2(tmp_path, capsys):
+    from subseg.synthcam import Labeling, TrajectoryMatrix, write_trajectory
+    path = tmp_path / "one.traj"
+    W = TrajectoryMatrix.from_dense(np.arange(1.0, 7.0)[:, None])
+    write_trajectory(path, W, Labeling([0], 1))
+    capsys.readouterr()
+    assert run(["segment", str(path), "--m", "1"]) == 2
+    assert "need at least 2 trajectories" in capsys.readouterr().err
 
 
 def test_segment_zero_trajectory_exit_2(tmp_path, scene_file, capsys):

@@ -59,8 +59,10 @@ def test_affinity_raw_error_variant():
 
 @pytest.mark.parametrize("sigma_e", [0.0, -1.0])
 def test_affinity_rejects_nonpositive_sigma_e(sigma_e):
-    with pytest.raises(ValueError, match="sigma_e must be > 0"):
-        build_affinity(np.zeros((4, 4)), two_block_error(2), sigma_e=sigma_e)
+    for raw_error in (False, True):
+        with pytest.raises(ValueError, match="sigma_e must be > 0"):
+            build_affinity(np.zeros((4, 4)), two_block_error(2),
+                           sigma_e=sigma_e, raw_error=raw_error)
 
 
 def test_laplacian_complete_graph_eigenvalues():
@@ -185,9 +187,12 @@ def test_segment_noiseless_two_motions_exact():
     solver = report["solver"]
     assert set(solver) == {"rows", "rows_converged", "rows_capped",
                            "stalled_rows", "max_primal_residual",
-                           "mean_iterations"}
+                           "mean_iterations", "iterations_p50",
+                           "iterations_p90", "iterations_max"}
     assert solver["rows"] == W.points
     assert solver["rows_converged"] + solver["rows_capped"] == W.points
+    assert (solver["iterations_p50"] <= solver["iterations_p90"]
+            <= solver["iterations_max"] <= SegmentConfig(n=2).admm.max_iter)
 
 
 def test_segment_label_permutation_metamorphic():
@@ -218,3 +223,9 @@ def test_segment_rejects_more_motions_than_points():
     W = subseg.TrajectoryMatrix.from_dense(np.ones((6, 4)))
     with pytest.raises(ValueError, match="exceeds"):
         segment(W, SegmentConfig(n=5))
+
+
+def test_segment_rejects_one_trajectory():
+    W = subseg.TrajectoryMatrix.from_dense(np.arange(1.0, 7.0)[:, None])
+    with pytest.raises(ValueError, match="need at least 2 trajectories"):
+        segment(W, SegmentConfig(n=1, m=1))

@@ -3,8 +3,9 @@ import pytest
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
-from subseg.neighbors import (neighbor_objective, nsi, nsi_dissimilarity_rows,
-                              proximity_weights, search_area,
+from subseg.neighbors import (AdmmParams, neighbor_objective, nsi,
+                              nsi_dissimilarity_rows, proximity_weights,
+                              search_area,
                               solve_all_neighbors, solve_sparse_neighbors,
                               weight_matrix)
 from subseg.projection import GlobalSubspace, pca_project
@@ -42,6 +43,47 @@ def simplex_grid_minimum(x, q, lam, step=1e-2):
                         improved = True
         delta /= 2.0
     return c, best
+
+
+def reference_admm(x, lam, admm):
+    """Plain one-row ADMM: the textbook update sequence, np.linalg.norm
+    residuals and the sign/abs soft threshold, stopping at the first
+    iteration that meets the tolerances.
+
+    Returns (c, iterations, r, s, converged, stalled), with c reduced to
+    the support of z and renormalized as the solver does.
+    """
+    rho, k = admm.rho, x.size
+    sigma = x.mean() or 1.0
+    thresh = lam * proximity_weights(x, sigma) / rho
+    H = 1.0 / (x ** 2 + rho)
+    H_sum = H.sum()
+    c = np.full(k, 1.0 / k)
+    z = c.copy()
+    u = np.zeros(k)
+    r = s = 0.0
+    converged = False
+    for it in range(1, admm.max_iter + 1):
+        w = H * (rho * (z - u))
+        nu = (w.sum() - 1.0) / H_sum
+        c = w - nu * H
+        v = c + u
+        z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        u = u + c - z_new
+        r = np.linalg.norm(c - z_new)
+        s = rho * np.linalg.norm(z_new - z)
+        z = z_new
+        eps_pri = np.sqrt(k) * admm.tol_abs + admm.tol_rel * max(
+            np.linalg.norm(c), np.linalg.norm(z))
+        eps_dual = (np.sqrt(k) * admm.tol_abs
+                    + admm.tol_rel * rho * np.linalg.norm(u))
+        if r <= eps_pri and s <= eps_dual:
+            converged = True
+            break
+    kept = np.where(z != 0.0, c, 0.0)
+    if abs(kept.sum()) > 1e-3:
+        c = kept / kept.sum()
+    return c, it, r, s, converged, not converged and r > 1e-3
 
 
 def unit_subspace(M):
@@ -172,6 +214,33 @@ def test_batch_matches_per_row():
         assert batch.stats[i].iterations == stats.iterations
     # rows freeze at different iterations, so the check covers freezing
     assert len({s.iterations for s in batch.stats}) > 1
+
+
+def test_solver_matches_reference_iterates():
+    # a small rho makes some rows converge within the cap, at different
+    # iterations, while others stall or run to it
+    W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(20, 20),
+                                  noise_sigma=0.5))
+    G = pca_project(W, 5)
+    admm = AdmmParams(rho=0.03, max_iter=60)
+    with pytest.warns(nb.SolverStall):
+        sol = solve_all_neighbors(G, size=10, admm=admm)
+    _, X = nsi_dissimilarity_rows(G)
+    frozen = set()
+    for i, cand in enumerate(sol.candidates):
+        c, it, r, s, converged, stalled = reference_admm(X[i, cand], 0.07,
+                                                         admm)
+        stats = sol.stats[i]
+        assert np.array_equal(sol.C[i, cand], c)
+        assert stats.iterations == it
+        assert (stats.converged, stats.stalled) == (converged, stalled)
+        assert stats.primal_residual == pytest.approx(r, rel=1e-12, abs=0)
+        assert stats.dual_residual == pytest.approx(s, rel=1e-12, abs=0)
+        if converged:
+            frozen.add(it)
+    assert len(frozen) > 1
+    assert any(s.stalled for s in sol.stats)
+    assert any(not s.converged and not s.stalled for s in sol.stats)
 
 
 def test_solution_carries_distance_matrix():
