@@ -32,7 +32,6 @@ from .neighbors import (
     AdmmParams,
     SparseNeighborSolution,
     WeightMatrix,
-    nsi,
     nsi_dissimilarity_rows,
     search_area,
     solve_all_neighbors,

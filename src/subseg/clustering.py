@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 from . import neighbors as nb
 from . import projection as pj
@@ -35,10 +36,19 @@ class Affinity:
 
 @dataclass
 class SpectralEmbedding:
-    """Rows of the n smallest Laplacian eigenvectors, unit-normalized."""
+    """Rows of the n smallest Laplacian eigenvectors, unit-normalized, their
+    eigenvalues, and the (n+1)-th smallest eigenvalue (None when n = P)."""
 
     U: np.ndarray
     eigenvalues: np.ndarray
+    next_eigenvalue: float | None
+
+    @property
+    def spectral_gap(self):
+        """lambda_{n+1} - lambda_n, or None when n = P."""
+        if self.next_eigenvalue is None:
+            return None
+        return self.next_eigenvalue - float(self.eigenvalues[-1])
 
 
 @dataclass
@@ -75,23 +85,33 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
 
     The residual enters as exp(-e/sigma_e) so small error (same local
     subspace) means strong connection; the literal absolute-error variant
-    stays available behind ``raw_error`` for comparison.
+    stays available behind ``raw_error`` for comparison.  A is assembled
+    in two P x P buffers.  If some vertex links to every other one the
+    graph is connected; only otherwise are the components counted on a
+    sparse copy of the edge pattern.
     """
     if sigma_e is not None and sigma_e <= 0:
         raise ValueError("sigma_e must be > 0")
     e = E.data
     if raw_error:
-        S = np.abs(e)
+        B = np.abs(e)
         sigma_e = None
     else:
         if sigma_e is None:
             positive = e[e > 0]
             sigma_e = float(np.median(positive)) if positive.size else 1.0
-        S = np.exp(-e / sigma_e)
-    B = np.abs(Omega) + S
-    np.fill_diagonal(B, 0.0)
-    A = 0.5 * (B + B.T)
-    n_comp, _ = connected_components(csr_matrix(A > 0), directed=False)
+        B = np.divide(e, -sigma_e)
+        np.exp(B, out=B)
+    A = np.abs(Omega)
+    B += A
+    np.add(B.T, B, out=A)
+    A *= 0.5
+    np.fill_diagonal(A, 0.0)
+    P = A.shape[0]
+    if (np.count_nonzero(A, axis=1) == P - 1).any():
+        n_comp = 1
+    else:
+        n_comp, _ = connected_components(csr_matrix(A > 0), directed=False)
     return Affinity(A, int(n_comp), sigma_e)
 
 
@@ -103,20 +123,43 @@ def normalized_laplacian(A):
     d = A.sum(axis=1)
     inv_sqrt = np.zeros_like(d)
     np.divide(1.0, np.sqrt(d), out=inv_sqrt, where=d > 0)
-    L = -inv_sqrt[:, None] * A * inv_sqrt[None, :]
+    L = np.multiply(A, -inv_sqrt[:, None])
+    L *= inv_sqrt
     np.fill_diagonal(L, 1.0)
-    return 0.5 * (L + L.T)
+    sym = np.add(L.T, L)
+    sym *= 0.5
+    return sym
 
 
 def spectral_embed(L, n):
-    """Eigenvectors of the n smallest eigenvalues, rows unit-normalized."""
+    """Eigenvectors of the n smallest eigenvalues, rows unit-normalized.
+
+    ARPACK's Lanczos iteration (``eigsh``) finds the n+1 smallest
+    eigenpairs from a fixed start vector and a seeded restart stream, so
+    repeated calls give the same output; the extra eigenvalue gives the
+    spectral gap.  A dense ``eigh`` serves n + 1 >= P, which ARPACK
+    cannot.
+    """
+    P = L.shape[0]
     if n < 1:
         raise ValueError("n must be >= 1")
-    eigenvalues, U = eigh(L, subset_by_index=[0, n - 1])
+    if n > P:
+        raise ValueError("n must be <= number of points")
+    if n + 1 < P:
+        rng = np.random.default_rng(0)
+        eigenvalues, U = eigsh(L, k=n + 1, which="SA",
+                               v0=rng.uniform(-1.0, 1.0, P), rng=rng)
+        order = np.argsort(eigenvalues)
+        eigenvalues, U = eigenvalues[order], U[:, order]
+    else:
+        eigenvalues, U = eigh(L)
+    next_eigenvalue = float(eigenvalues[n]) if n < P else None
+    U = U[:, :n]
     norms = np.linalg.norm(U, axis=1)
     scale = np.ones_like(norms)
     np.divide(1.0, norms, out=scale, where=norms > 0)
-    return SpectralEmbedding(U * scale[:, None], eigenvalues)
+    return SpectralEmbedding(U * scale[:, None], eigenvalues[:n],
+                             next_eigenvalue)
 
 
 def kmeans(X, n, restarts=10, seed=0):
@@ -195,6 +238,7 @@ def segment(W, config):
     report["connected_components"] = affinity.n_components
     report["sigma_e"] = affinity.sigma_e
     report["eigenvalues"] = [float(v) for v in embedding.eigenvalues]
+    report["spectral_gap"] = embedding.spectral_gap
     report["labels"] = [int(v) for v in labeling.labels]
     return labeling, report
 

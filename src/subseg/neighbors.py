@@ -60,22 +60,6 @@ class WeightMatrix:
     Omega: np.ndarray
 
 
-def nsi(a, b):
-    """Normalized subspace inclusion between two (multi-)vectors.
-
-    tr(a^T b b^T a) / min(dim a, dim b); for unit column vectors this is
-    the squared inner product.  Symmetric, in [0, 1].
-    """
-    A = np.atleast_2d(np.asarray(a, dtype=float))
-    B = np.atleast_2d(np.asarray(b, dtype=float))
-    if A.shape[0] == 1:
-        A = A.T
-    if B.shape[0] == 1:
-        B = B.T
-    cross = A.T @ B
-    return float(np.sum(cross ** 2) / min(A.shape[1], B.shape[1]))
-
-
 def nsi_dissimilarity_rows(subspace):
     """All pairwise NSI values and the derived distances X = 1 - NSI.
 

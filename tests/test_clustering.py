@@ -158,18 +158,136 @@ def test_kmeans_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
+def clique_error(groups, P):
+    """Residuals that are 0 inside each index group and 50 elsewhere, so
+    exp(-e/sigma_e) at sigma_e = 1e-3 is exactly 1 inside, 0 across."""
+    E = np.full((P, P), 50.0)
+    for group in groups:
+        E[np.ix_(group, group)] = 0.0
+    return ErrorMatrix(E)
+
+
 def test_zero_eigenvalue_multiplicity_vs_components():
-    A = np.zeros((7, 7))
-    A[:3, :3] = 1.0
-    A[3:5, 3:5] = 1.0
-    np.fill_diagonal(A, 0.0)  # vertices 5, 6 isolated
-    aff = build_affinity(np.zeros((7, 7)),
-                         ErrorMatrix(np.full((7, 7), 50.0)), sigma_e=1e-3)
-    # use the raw clique graph here; the affinity call checks diagnostics
-    vals = np.linalg.eigvalsh(normalized_laplacian(A))
-    components = 4  # two cliques + two isolated vertices
-    assert np.sum(np.abs(vals) < 1e-8) >= 2
-    assert aff.n_components >= 1
+    P = 7
+    # every residual underflows: no edges, seven isolated vertices
+    empty = build_affinity(np.zeros((P, P)), clique_error([], P), sigma_e=1e-3)
+    assert not empty.A.any()
+    assert empty.n_components == 7
+
+    # two cliques plus the isolated vertices 5 and 6
+    aff = build_affinity(np.zeros((P, P)),
+                         clique_error([[0, 1, 2], [3, 4]], P), sigma_e=1e-3)
+    assert aff.n_components == 4
+    # isolated vertices carry eigenvalue 1, each clique one zero
+    vals = np.linalg.eigvalsh(normalized_laplacian(aff.A))
+    assert np.sum(np.abs(vals) < 1e-8) == 2
+
+    complete = build_affinity(np.zeros((P, P)), clique_error([range(P)], P),
+                              sigma_e=1e-3)
+    assert complete.n_components == 1
+
+
+def test_connectivity_shortcut_agrees_with_sparse_count(monkeypatch):
+    import subseg.clustering as cl
+
+    calls = []
+    count = cl.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "connected_components", counted)
+    P = 6
+    # vertex 0 links to all others: connected without a sparse graph
+    star = [[0, v] for v in range(1, P)]
+    aff = build_affinity(np.zeros((P, P)), clique_error(star, P), sigma_e=1e-3)
+    assert aff.n_components == 1 and not calls
+    # a path is connected but has no such vertex: the sparse count runs
+    path = [[v, v + 1] for v in range(P - 1)]
+    aff = build_affinity(np.zeros((P, P)), clique_error(path, P), sigma_e=1e-3)
+    assert aff.n_components == 1 and len(calls) == 1
+
+
+def random_graph(P, seed):
+    A = np.random.default_rng(seed).uniform(size=(P, P))
+    A = 0.5 * (A + A.T)
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+def clique_graph(sizes):
+    truth = np.repeat(np.arange(len(sizes)), sizes)
+    A = (truth[:, None] == truth[None, :]).astype(float)
+    np.fill_diagonal(A, 0.0)
+    return A, truth
+
+
+def unit_rows(U):
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("P,n,seed", [(12, 1, 0), (40, 3, 1), (150, 2, 2),
+                                      (300, 6, 3)])
+def test_embed_matches_dense_eigh_on_random_graphs(P, n, seed):
+    L = normalized_laplacian(random_graph(P, seed))
+    vals, vecs = np.linalg.eigh(L)
+    emb = spectral_embed(L, n)
+    assert np.max(np.abs(emb.eigenvalues - vals[:n])) < 1e-10
+    assert abs(emb.next_eigenvalue - vals[n]) < 1e-10
+    assert emb.spectral_gap == pytest.approx(vals[n] - vals[n - 1], abs=1e-10)
+    # eigenvalues are simple here, so the vectors agree up to sign
+    signs = np.sign(np.sum(emb.U * unit_rows(vecs[:, :n]), axis=0))
+    assert np.max(np.abs(emb.U - unit_rows(vecs[:, :n]) * signs)) < 1e-8
+
+
+@pytest.mark.parametrize("sizes", [(20, 20, 20), (100, 60, 140),
+                                   (50,) * 8, (300, 250, 350, 300),
+                                   (150, 160, 170, 180, 190, 210, 140)])
+def test_embed_matches_dense_eigh_on_disjoint_cliques(sizes):
+    A, truth = clique_graph(sizes)
+    n = len(sizes)
+    L = normalized_laplacian(A)
+    vals = np.linalg.eigvalsh(L)
+    emb = spectral_embed(L, n)
+    # zero has multiplicity exactly n; each clique contributes one
+    assert np.max(np.abs(emb.eigenvalues)) < 1e-10
+    assert abs(emb.next_eigenvalue - vals[n]) < 1e-10
+    assert emb.spectral_gap > 0.5
+    labels = kmeans(emb.U, n, seed=0)
+    dense = kmeans(unit_rows(np.linalg.eigh(L)[1][:, :n]), n, seed=0)
+    truth = Labeling(truth, n)
+    assert misclassification(labels, truth).misclassification == 0.0
+    assert misclassification(dense, truth).misclassification == 0.0
+
+
+@pytest.mark.parametrize("A", [random_graph(200, 4),
+                               clique_graph((70, 70, 70))[0]],
+                         ids=["random", "cliques"])
+def test_embed_repeats_bit_for_bit(A):
+    L = normalized_laplacian(A)
+    a = spectral_embed(L, 3)
+    b = spectral_embed(L, 3)
+    assert np.array_equal(a.U, b.U)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert a.next_eigenvalue == b.next_eigenvalue
+
+
+def test_embed_near_and_at_full_dimension():
+    P = 6
+    L = normalized_laplacian(random_graph(P, 5))
+    vals = np.linalg.eigvalsh(L)
+    # n = P - 2 is the largest n the Lanczos path serves
+    for n in (P - 2, P - 1):
+        emb = spectral_embed(L, n)
+        assert np.allclose(emb.eigenvalues, vals[:n], atol=1e-12)
+        assert emb.next_eigenvalue == pytest.approx(vals[n], abs=1e-12)
+    full = spectral_embed(L, P)
+    assert np.allclose(full.eigenvalues, vals, atol=1e-12)
+    assert full.next_eigenvalue is None and full.spectral_gap is None
+    assert full.U.shape == (P, P)
+    with pytest.raises(ValueError, match="n must be <= number of points"):
+        spectral_embed(L, P + 1)
 
 
 def test_segment_noiseless_two_motions_exact():
@@ -184,6 +302,10 @@ def test_segment_noiseless_two_motions_exact():
     assert len(report["eigenvalues"]) == 2
     assert report["labels"] == labeling.labels.tolist()
     assert report["sigma_e"] > 0
+    assert set(report) == {"stages", "n", "projector", "spca", "solver",
+                           "connected_components", "sigma_e", "eigenvalues",
+                           "spectral_gap", "labels"}
+    assert report["spectral_gap"] > 0
     solver = report["solver"]
     assert set(solver) == {"rows", "rows_converged", "rows_capped",
                            "stalled_rows", "max_primal_residual",

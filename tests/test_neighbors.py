@@ -3,13 +3,29 @@ import pytest
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
-from subseg.neighbors import (AdmmParams, neighbor_objective, nsi,
+from subseg.neighbors import (AdmmParams, neighbor_objective,
                               nsi_dissimilarity_rows, proximity_weights,
                               search_area,
                               solve_all_neighbors, solve_sparse_neighbors,
                               weight_matrix)
 from subseg.projection import GlobalSubspace, pca_project
 from subseg.synthcam import SceneConfig, make_scene
+
+
+def nsi(a, b):
+    """Oracle: normalized subspace inclusion between two (multi-)vectors.
+
+    tr(a^T b b^T a) / min(dim a, dim b); for unit column vectors this is
+    the squared inner product.  Symmetric, in [0, 1].
+    """
+    A = np.atleast_2d(np.asarray(a, dtype=float))
+    B = np.atleast_2d(np.asarray(b, dtype=float))
+    if A.shape[0] == 1:
+        A = A.T
+    if B.shape[0] == 1:
+        B = B.T
+    cross = A.T @ B
+    return float(np.sum(cross ** 2) / min(A.shape[1], B.shape[1]))
 
 
 def simplex_grid_minimum(x, q, lam, step=1e-2):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from subseg.neighbors import nsi
 from subseg.projection import (RankDeficient, SparseLoadings, SpcaParams,
                                ZeroColumn, assemble_global, extract_pattern,
                                gpower_block, pca_project)
 from subseg.synthcam import SceneConfig, TrajectoryMatrix, make_scene
+
+from test_neighbors import nsi
 
 
 def random_trajectory(rng, rows, cols):
