@@ -42,9 +42,6 @@ from .subspace_error import (
     ErrorMatrix,
     LocalSubspace,
     build_error_matrix,
-    collect_local_subspace,
-    error_matrix,
-    error_vector,
     subspace_basis,
 )
 from .clustering import (

@@ -34,17 +34,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic trajectory file")
-    gen.add_argument("--n-motions", type=int, default=2)
-    gen.add_argument("--points-per-motion", default="60",
+    scene = synthcam.SceneConfig
+    gen.add_argument("--n-motions", type=int, default=scene.n_motions)
+    gen.add_argument("--points-per-motion", default=scene.points_per_motion,
                      help="count, or comma-separated counts per motion")
-    gen.add_argument("--frames", type=int, default=30)
-    gen.add_argument("--rotation-rate", default="0.15",
+    gen.add_argument("--frames", type=int, default=scene.frames)
+    gen.add_argument("--rotation-rate", default=scene.rotation_rate,
                      help="radians/frame, scalar or comma-separated per motion")
-    gen.add_argument("--translation-rate", default="1.0",
+    gen.add_argument("--translation-rate", default=scene.translation_rate,
                      help="units/frame, scalar or comma-separated per motion")
-    gen.add_argument("--noise-sigma", type=float, default=0.0)
-    gen.add_argument("--missing-rate", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--noise-sigma", type=float, default=scene.noise_sigma)
+    gen.add_argument("--missing-rate", type=float, default=scene.missing_rate)
+    gen.add_argument("--seed", type=int, default=scene.seed)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 
@@ -52,17 +53,19 @@ def build_parser():
     seg.add_argument("input")
     seg.add_argument("--n", type=int, default=None,
                      help="number of motions (defaults to the file header)")
-    seg.add_argument("--projector", choices=("pca", "spca"), default="spca")
-    seg.add_argument("--m", type=int, default=5)
-    seg.add_argument("--gamma", type=float, default=0.01)
-    seg.add_argument("--neighbors", type=int, default=20)
-    seg.add_argument("--lambda", dest="lam", type=float, default=0.07)
+    config = clustering.SegmentConfig
+    seg.add_argument("--projector", default=config.projector,
+                     help="'pca' or 'spca'")
+    seg.add_argument("--m", type=int, default=config.m)
+    seg.add_argument("--gamma", type=float, default=config.gamma)
+    seg.add_argument("--neighbors", type=int, default=config.neighbors)
+    seg.add_argument("--lambda", dest="lam", type=float, default=config.lam)
     seg.add_argument("--sigma", default="auto",
                      help="solver weight scale, 'auto' or a value")
     seg.add_argument("--sigma-e", default="auto",
                      help="error similarity scale, 'auto' or a value")
     seg.add_argument("--affinity-raw-error", action="store_true")
-    seg.add_argument("--seed", type=int, default=0)
+    seg.add_argument("--seed", type=int, default=config.seed)
     seg.add_argument("--labels-out", default=None,
                      help="labels output path (default: <input>.labels)")
     seg.add_argument("--report", default=None, help="report JSON path")
@@ -174,12 +177,17 @@ def cmd_report(args):
     try:
         with open(args.report) as fh:
             report = json.load(fh)
-        labels = report["labels"]
-        xs = report["first_frame"]["x"]
-        ys = report["first_frame"]["y"]
-        if not labels or len(xs) != len(labels) or len(ys) != len(labels):
+        labels = np.asarray(report["labels"])
+        xs = np.asarray(report["first_frame"]["x"], dtype=float)
+        ys = np.asarray(report["first_frame"]["y"], dtype=float)
+        if labels.dtype.kind != "i":
+            raise ValueError("labels must be integers")
+        if (labels.ndim != 1 or not labels.size
+                or xs.shape != labels.shape or ys.shape != labels.shape):
             raise ValueError("labels and coordinates disagree")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("coordinates must be finite")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_PARSE, f"malformed report {args.report}: {exc}")
     return _write([(args.out, render_svg(xs, ys, labels))])
 

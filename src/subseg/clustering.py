@@ -20,10 +20,6 @@ from . import subspace_error as se
 from .synthcam import Labeling
 
 
-class EmptyCluster(RuntimeError):
-    """k-means produced an empty cluster that could not be re-seeded."""
-
-
 @dataclass
 class Affinity:
     """Symmetric nonnegative affinity with a connectivity diagnostic and

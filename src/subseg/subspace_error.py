@@ -1,8 +1,10 @@
 """Local subspace bases and the point-to-subspace residual matrix.
 
-Each point together with its sparse neighbors spans a local subspace; the
-residual of every projected point against every such subspace fills a
-P x P error matrix whose block structure separates the motions.
+Point i together with its sparse neighbors spans local subspace i; the
+squared residual of every projected point against that subspace fills
+row i of a P x P error matrix whose block structure separates the
+motions.  `build_error_matrix` is the whole stage; `subspace_basis` is
+its local-rank decision.
 """
 
 from dataclasses import dataclass
@@ -29,12 +31,6 @@ class ErrorMatrix:
     data: np.ndarray
 
 
-def collect_local_subspace(omega_row, i):
-    """Member indices of local subspace i: the point plus its neighbors."""
-    members = np.flatnonzero(omega_row)
-    return np.unique(np.append(members, i))
-
-
 def subspace_basis(columns, rank_tol=DEFAULT_RANK_TOL):
     """Orthonormal basis of the member columns via SVD rank truncation.
 
@@ -50,34 +46,20 @@ def subspace_basis(columns, rank_tol=DEFAULT_RANK_TOL):
     return U[:, :rank], rank
 
 
-def error_vector(basis, subspace):
-    """Squared orthogonal-projection residual of every point: e_t =
-    ||alpha_t - B B^T alpha_t||^2.
+def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
+    """Local subspace i is spanned by point i and the support of Omega[i];
+    E[i, t] = ||g_t - B_i B_i^T g_t||^2 for every projected point g_t.
 
     With an orthonormal basis the Moore-Penrose inverse is the transpose,
-    so B B^+ is the orthogonal projector onto the local subspace.
+    so B B^T is the orthogonal projector onto the local subspace.
+    Returns the ErrorMatrix and the list of LocalSubspace, one per point.
     """
     G = subspace.data
-    residual = G - basis @ (basis.T @ G)
-    return np.sum(residual ** 2, axis=0)
-
-
-def error_matrix(subspaces, subspace):
-    """Stack the residual vectors of all local subspaces into rows."""
-    P = subspace.points
-    if len(subspaces) != P:
-        raise ValueError("need one local subspace per point")
-    E = np.empty((P, P))
-    for i, local in enumerate(subspaces):
-        E[i] = error_vector(local.basis, subspace)
-    return ErrorMatrix(E)
-
-
-def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
-    """Convenience: collect members, orthonormalize, evaluate all residuals."""
+    E = np.empty((subspace.points, subspace.points))
     subspaces = []
     for i in range(subspace.points):
-        members = collect_local_subspace(Omega[i], i)
-        basis, rank = subspace_basis(subspace.data[:, members], rank_tol)
-        subspaces.append(LocalSubspace(members, basis, rank))
-    return error_matrix(subspaces, subspace), subspaces
+        members = np.unique(np.append(np.flatnonzero(Omega[i]), i))
+        B, rank = subspace_basis(G[:, members], rank_tol)
+        E[i] = np.sum((G - B @ (B.T @ G)) ** 2, axis=0)
+        subspaces.append(LocalSubspace(members, B, rank))
+    return ErrorMatrix(E), subspaces

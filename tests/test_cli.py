@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from subseg import cli
-from subseg.synthcam import read_trajectory
+from subseg.synthcam import SceneConfig, make_scene, read_trajectory
 
 
 def run(args):
@@ -44,6 +44,15 @@ def test_generate_with_missing_mask(tmp_path):
     W, _ = read_trajectory(path)
     assert not W.mask.all()
     assert np.all(W.data[~W.mask] == 0)
+
+
+def test_generate_defaults_follow_scene_config(tmp_path):
+    path = tmp_path / "default.traj"
+    assert run(["generate", "--seed", "0", "--out", str(path)]) == 0
+    W, labels = read_trajectory(path)
+    W_lib, labels_lib = make_scene(SceneConfig(n_motions=2, seed=0))
+    assert np.array_equal(W.data, W_lib.data)
+    assert np.array_equal(labels.labels, labels_lib.labels)
 
 
 def test_generate_invalid_config_exit_2(tmp_path, capsys):
@@ -127,6 +136,7 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--m", "41"], "m = 41 exceeds min(2F, P) = 40"),
     (["--m", "41", "--projector", "pca"], "m = 41 exceeds min(2F, P) = 40"),
     (["--sigma-e", "0", "--affinity-raw-error"], "sigma_e must be > 0"),
+    (["--projector", "nope"], "projector must be 'pca' or 'spca'"),
 ])
 def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                                          options, message):
@@ -278,10 +288,25 @@ def test_report_single_cluster(tmp_path):
     assert svg.count("cluster-0") == 3
 
 
-def test_report_malformed_exit_3(tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    assert run(["report", str(empty), str(tmp_path / "o.svg")]) == 3
-    garbage = tmp_path / "bad.json"
-    garbage.write_text("{not json")
-    assert run(["report", str(garbage), str(tmp_path / "o2.svg")]) == 3
+@pytest.mark.parametrize("body", [
+    "{}",
+    "{not json",
+    "[1, 2]",
+    '{"labels": 5, "first_frame": {"x": [0.0], "y": [0.0]}}',
+    '{"labels": [0, 1], "first_frame": {"x": null, "y": [0.0, 1.0]}}',
+    '{"labels": [0, 1], "first_frame": {"x": ["a", "b"], "y": [0.0, 1.0]}}',
+    '{"labels": [0, "q"], "first_frame": {"x": [0.0, 1.0], "y": [0.0, 1.0]}}',
+    '{"labels": [0, 1e30], "first_frame": {"x": [0.0, 1.0], "y": [0.0, 1.0]}}',
+    '{"labels": [0.5, 1.7], "first_frame": {"x": [0.0, 1.0], "y": [0.0, 1.0]}}',
+    '{"labels": [0, 1], "first_frame": {"x": [NaN, 1.0], "y": [0.0, 1.0]}}',
+], ids=["empty", "not-json", "top-level-list", "labels-scalar", "x-null",
+        "x-strings", "labels-string", "labels-overflow", "labels-fraction",
+        "x-nan"])
+def test_report_malformed_exit_3(tmp_path, capsys, body):
+    report_path = tmp_path / "r.json"
+    report_path.write_text(body)
+    svg_path = tmp_path / "o.svg"
+    capsys.readouterr()
+    assert run(["report", str(report_path), str(svg_path)]) == 3
+    assert "malformed report" in capsys.readouterr().err
+    assert not svg_path.exists()

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from subseg.projection import GlobalSubspace
-from subseg.subspace_error import (build_error_matrix, collect_local_subspace,
-                                   error_matrix, error_vector, subspace_basis,
-                                   LocalSubspace)
+from subseg.subspace_error import build_error_matrix, subspace_basis
 
 
 def unit_subspace(M):
@@ -31,22 +29,29 @@ def planted_two_subspace(rng, dim=5, per_block=20, angle_deg=30.0):
 
 
 def test_collect_degenerate_row():
-    assert collect_local_subspace(np.zeros(6), 3).tolist() == [3]
+    G = unit_subspace(np.random.default_rng(0).normal(size=(3, 6)))
+    _, subspaces = build_error_matrix(G, np.zeros((6, 6)))
+    assert subspaces[3].members.tolist() == [3]
 
 
 def test_collect_one_hot():
-    row = np.zeros(6)
-    row[4] = 1.0
-    assert collect_local_subspace(row, 1).tolist() == [1, 4]
+    G = unit_subspace(np.random.default_rng(0).normal(size=(3, 6)))
+    Omega = np.zeros((6, 6))
+    Omega[1, 4] = 1.0
+    _, subspaces = build_error_matrix(G, Omega)
+    assert subspaces[1].members.tolist() == [1, 4]
 
 
 def test_collect_matches_nonzero_pattern():
     rng = np.random.default_rng(0)
+    G = unit_subspace(rng.normal(size=(12, 12)))
+    Omega = np.zeros((12, 12))
     for i in range(5):
-        row = rng.normal(size=12) * (rng.uniform(size=12) < 0.3)
-        got = collect_local_subspace(row, i)
-        expected = sorted(set(np.flatnonzero(row).tolist()) | {i})
-        assert got.tolist() == expected
+        Omega[i] = rng.normal(size=12) * (rng.uniform(size=12) < 0.3)
+    _, subspaces = build_error_matrix(G, Omega)
+    for i in range(5):
+        expected = sorted(set(np.flatnonzero(Omega[i]).tolist()) | {i})
+        assert subspaces[i].members.tolist() == expected
 
 
 def test_basis_single_member():
@@ -77,22 +82,30 @@ def test_basis_planted_plane():
 
 
 def test_error_vector_in_span():
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    G = unit_subspace(np.array([[0.6], [0.8], [0.0]]))
-    assert error_vector(basis, G)[0] < 1e-12
+    # local subspace 0 is span{e1, e2}; point 2 lies in it
+    G = unit_subspace(np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8],
+                                [0.0, 0.0, 0.0]]))
+    Omega = np.zeros((3, 3))
+    Omega[0, 1] = 1.0
+    E, _ = build_error_matrix(G, Omega)
+    assert E.data[0, 2] < 1e-12
 
 
 def test_error_vector_orthogonal():
-    basis = np.array([[1.0], [0.0], [0.0]])
-    G = unit_subspace(np.array([[0.0], [0.0], [1.0]]))
-    assert error_vector(basis, G)[0] == pytest.approx(1.0, abs=1e-12)
+    G = unit_subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    E, _ = build_error_matrix(G, np.zeros((2, 2)))
+    assert E.data[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_error_vector_planted_separation():
     rng = np.random.default_rng(2)
     G, labels = planted_two_subspace(rng)
-    basis, _ = subspace_basis(G.data[:, labels == 0])
-    e = error_vector(basis, G)
+    # row 0 spans the whole first block
+    Omega = np.zeros((len(labels), len(labels)))
+    Omega[0, labels == 0] = 1.0
+    E, subspaces = build_error_matrix(G, Omega)
+    assert subspaces[0].members.tolist() == np.flatnonzero(labels == 0).tolist()
+    e = E.data[0]
     assert e[labels == 0].mean() < 1e-6
     assert e[labels == 1].mean() > 0.1
 
@@ -108,9 +121,7 @@ def test_error_matrix_identical_points():
 
 def test_error_matrix_orthogonal_pair():
     G = unit_subspace(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    subspaces = [LocalSubspace(np.array([0]), np.array([[1.0], [0.0]]), 1),
-                 LocalSubspace(np.array([1]), np.array([[0.0], [1.0]]), 1)]
-    E = error_matrix(subspaces, G)
+    E, _ = build_error_matrix(G, np.zeros((2, 2)))
     assert E.data[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert E.data[1, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.diag(E.data), 0.0, atol=1e-12)
@@ -167,9 +178,34 @@ def test_error_entries_in_unit_range():
 def test_adding_member_never_increases_error():
     rng = np.random.default_rng(7)
     G = unit_subspace(rng.normal(size=(5, 8)))
-    members = [0, 2, 5]
-    basis_small, _ = subspace_basis(G.data[:, members], rank_tol=1e-12)
-    basis_large, _ = subspace_basis(G.data[:, members + [6]], rank_tol=1e-12)
-    e_small = error_vector(basis_small, G)
-    e_large = error_vector(basis_large, G)
+    small = np.zeros((8, 8))
+    small[0, [2, 5]] = 1.0
+    large = small.copy()
+    large[0, 6] = 1.0
+    e_small = build_error_matrix(G, small, rank_tol=1e-12)[0].data[0]
+    e_large = build_error_matrix(G, large, rank_tol=1e-12)[0].data[0]
     assert np.all(e_large <= e_small + 1e-12)
+
+
+def test_error_rows_match_least_squares_projection():
+    """Each row of E is the residual of a least-squares fit of every point
+    onto that row's member columns, found without the SVD basis."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        m, P = 6, 25
+        M = rng.normal(size=(m, P))
+        M[:, 7] = M[:, 3]    # coincident points
+        M[:, 12] = M[:, 3]
+        G = unit_subspace(M)
+        Omega = np.zeros((P, P))
+        for i in range(P):
+            support = rng.choice(P, size=int(rng.integers(0, 5)),
+                                 replace=False)   # size 0: an empty row
+            Omega[i, support] = rng.uniform(0.1, 1.0, size=len(support))
+        Omega[3, [7, 12]] = 0.5
+        E, _ = build_error_matrix(G, Omega)
+        for i in range(P):
+            cols = G.data[:, sorted(set(np.flatnonzero(Omega[i])) | {i})]
+            coef = np.linalg.lstsq(cols, G.data, rcond=None)[0]
+            expected = np.sum((G.data - cols @ coef) ** 2, axis=0)
+            assert np.max(np.abs(E.data[i] - expected)) < 1e-10
