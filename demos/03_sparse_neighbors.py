@@ -30,10 +30,10 @@ print(f"NSI distance, within-motion mean {X[same & off].mean():.3f}, "
 # Solve every row; inspect sparsity and solver health
 sol = solve_all_neighbors(G, size=20, lam=0.07)
 support_sizes = (sol.C != 0).sum(axis=1)
-iters = [s.iterations for s in sol.stats]
+iters = sol.stats.iterations
 print(f"support sizes: min {support_sizes.min()}, "
       f"median {int(np.median(support_sizes))}, max {support_sizes.max()}")
-print(f"ADMM iterations: median {int(np.median(iters))}, max {max(iters)}")
+print(f"ADMM iterations: median {int(np.median(iters))}, max {iters.max()}")
 print(f"affine constraint worst error "
       f"{np.abs(sol.C.sum(axis=1) - 1).max():.1e}")
 

@@ -86,8 +86,8 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     graph is connected; only otherwise are the components counted on a
     sparse copy of the edge pattern.
     """
-    if sigma_e is not None and sigma_e <= 0:
-        raise ValueError("sigma_e must be > 0")
+    if sigma_e is not None and not 0 < sigma_e < np.inf:
+        raise ValueError("sigma_e must be > 0 and finite")
     e = E.data
     if raw_error:
         B = np.abs(e)
@@ -206,19 +206,19 @@ def segment(W, config):
                                       admm=config.admm)
     Omega = nb.weight_matrix(solution.C, solution.X).Omega
     report["stages"]["sparse_neighbors"] = clock() - t0
-    converged = sum(s.converged for s in solution.stats)
-    iterations = np.array([s.iterations for s in solution.stats])
-    p50, p90 = np.percentile(iterations, [50, 90])
+    stats = solution.stats
+    converged = int(stats.converged.sum())
+    p50, p90 = np.percentile(stats.iterations, [50, 90])
     report["solver"] = {
-        "rows": len(solution.stats),
+        "rows": len(stats),
         "rows_converged": converged,
-        "rows_capped": len(solution.stats) - converged,
+        "rows_capped": len(stats) - converged,
         "stalled_rows": solution.stalled_rows,
-        "max_primal_residual": max(s.primal_residual for s in solution.stats),
-        "mean_iterations": float(np.mean(iterations)),
+        "max_primal_residual": float(stats.primal_residual.max()),
+        "mean_iterations": float(np.mean(stats.iterations)),
         "iterations_p50": float(p50),
         "iterations_p90": float(p90),
-        "iterations_max": int(iterations.max()),
+        "iterations_max": int(stats.iterations.max()),
     }
 
     t0 = clock()
@@ -233,9 +233,9 @@ def segment(W, config):
     report["stages"]["clustering"] = clock() - t0
     report["connected_components"] = affinity.n_components
     report["sigma_e"] = affinity.sigma_e
-    report["eigenvalues"] = [float(v) for v in embedding.eigenvalues]
+    report["eigenvalues"] = embedding.eigenvalues.tolist()
     report["spectral_gap"] = embedding.spectral_gap
-    report["labels"] = [int(v) for v in labeling.labels]
+    report["labels"] = labeling.labels.tolist()
     return labeling, report
 
 

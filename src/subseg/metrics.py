@@ -42,6 +42,5 @@ def misclassification(pred, truth):
                                                     maximize=True)
     correct = int(confusion[rows, cols].sum())
     return ScoreReport(1.0 - correct / P,
-                       {int(i): int(j) for i, j in zip(rows, cols)},
-                       confusion)
+                       dict(zip(rows.tolist(), cols.tolist())), confusion)
 

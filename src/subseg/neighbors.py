@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_STATS_FIELDS = "iterations,primal_residual,dual_residual,converged,stalled"
+
+
 class SolverStall(UserWarning):
     """A row solve plateaued above tolerance; its last iterate is kept."""
 
@@ -31,26 +34,18 @@ class AdmmParams:
 
 
 @dataclass
-class RowStats:
-    iterations: int
-    primal_residual: float
-    dual_residual: float
-    converged: bool
-    stalled: bool
-
-
-@dataclass
 class SparseNeighborSolution:
     """Row-stacked sparse coefficients with per-row solve metadata."""
 
     C: np.ndarray                # (P, P), row i = c_i^T, zero diagonal
     candidates: np.ndarray       # (P, k), row i = candidate indices of row i
-    stats: list                  # per-row RowStats
+    stats: np.recarray           # (P,) iterations, primal_residual,
+                                 # dual_residual, converged, stalled
     X: np.ndarray                # (P, P) NSI distances the rows were solved on
 
     @property
     def stalled_rows(self):
-        return [i for i, s in enumerate(self.stats) if s.stalled]
+        return np.flatnonzero(self.stats.stalled).tolist()
 
 
 @dataclass
@@ -97,8 +92,9 @@ def proximity_weights(x, sigma):
     ``sigma`` broadcasts against it), so close points incur a lower L1
     penalty and stay in the support.
     """
-    if np.any(np.asarray(sigma) <= 0):
-        raise ValueError("sigma must be > 0")
+    sigma = np.asarray(sigma)
+    if not np.all((sigma > 0) & (sigma < np.inf)):
+        raise ValueError("sigma must be > 0 and finite")
     q = np.exp((x - x.max(axis=-1, keepdims=True)) / sigma)
     return q / q.sum(axis=-1, keepdims=True)
 
@@ -112,8 +108,8 @@ def solve_sparse_neighbors(x, sigma=None, lam=0.07, admm=None):
     """Solve min lam*||Q c||_1 + 0.5*||diag(x) c||_2^2 s.t. 1^T c = 1.
 
     ``x`` holds the candidate distances of one row; this is the batched
-    solve of ``solve_all_neighbors`` on a single row.  Returns
-    (c, RowStats); the affine constraint holds to machine precision.
+    solve of ``solve_all_neighbors`` on a single row.  Returns (c, stats
+    record); the affine constraint holds to machine precision.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
@@ -166,13 +162,21 @@ def _solve_rows(x_all, sigma, lam, admm):
     not depend on the other rows in the batch.  The iterates are exactly
     those of the textbook per-row loop; the residual norms are summed in
     another order, so they can differ from np.linalg.norm in the last ulp.
+
+    Returns the coefficients and a record array of row stats: iterations,
+    primal_residual, dual_residual, converged (the stopping test passed)
+    and stalled (not converged, primal residual above 1e-3).
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lambda must be >= 0 and finite")
     admm = admm or AdmmParams()
     R, k = x_all.shape
     if k == 1:
-        return np.ones((R, 1)), [RowStats(0, 0.0, 0.0, True, False)] * R
+        stats = np.rec.fromarrays(
+            [np.zeros(R, dtype=int), np.zeros(R), np.zeros(R),
+             np.ones(R, dtype=bool), np.zeros(R, dtype=bool)],
+            names=_STATS_FIELDS)
+        return np.ones((R, 1)), stats
 
     if sigma is None:
         sigma = x_all.mean(axis=1, keepdims=True)
@@ -254,8 +258,8 @@ def _solve_rows(x_all, sigma, lam, admm):
     kept = np.where(z_out != 0.0, c_out, 0.0)
     total = kept.sum(axis=1, keepdims=True)
     np.divide(kept, total, out=c_out, where=np.abs(total) > 1e-3)
-    stats = [RowStats(int(n), float(r), float(s), not a, bool(st))
-             for n, r, s, a, st in zip(iterations, r_out, s_out, active, stalled)]
+    stats = np.rec.fromarrays([iterations, r_out, s_out, ~active, stalled],
+                              names=_STATS_FIELDS)
     return c_out, stats
 
 

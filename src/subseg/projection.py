@@ -50,10 +50,10 @@ class SpcaParams:
                                      (self.m,)).copy()
         self.mu = np.broadcast_to(np.asarray(self.mu, dtype=float),
                                   (self.m,)).copy()
-        if np.any(self.gamma < 0):
-            raise ValueError("gamma entries must be >= 0")
-        if np.any(self.mu <= 0):
-            raise ValueError("mu entries must be > 0")
+        if not np.all((self.gamma >= 0) & (self.gamma < np.inf)):
+            raise ValueError("gamma entries must be >= 0 and finite")
+        if not np.all((self.mu > 0) & (self.mu < np.inf)):
+            raise ValueError("mu entries must be > 0 and finite")
         if np.unique(self.mu).size != self.m:
             raise ValueError("mu entries must be pairwise distinct")
 

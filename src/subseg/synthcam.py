@@ -29,12 +29,13 @@ class MotionTrack:
         T = np.asarray(self.translations, dtype=float)
         if R.ndim != 3 or R.shape[1:] != (3, 3) or T.shape != (R.shape[0], 3):
             raise ValueError("need (F,3,3) rotations and (F,3) translations")
-        eye = np.eye(3)
-        for f in range(R.shape[0]):
-            if np.max(np.abs(R[f].T @ R[f] - eye)) > 1e-12:
-                raise ValueError(f"rotation {f} is not orthonormal")
-            if not math.isclose(np.linalg.det(R[f]), 1.0, abs_tol=1e-9):
-                raise ValueError(f"rotation {f} has det != +1")
+        gram_error = np.abs(R.transpose(0, 2, 1) @ R - np.eye(3))
+        skewed = gram_error.max(axis=(1, 2)) > 1e-12
+        improper = ~np.isclose(np.linalg.det(R), 1.0, rtol=0.0, atol=1e-9)
+        if np.any(skewed | improper):
+            f = int(np.argmax(skewed | improper))
+            problem = "is not orthonormal" if skewed[f] else "has det != +1"
+            raise ValueError(f"rotation {f} {problem}")
         object.__setattr__(self, "rotations", R)
         object.__setattr__(self, "translations", T)
 
@@ -196,21 +197,12 @@ def project_scene(motions, clouds):
     if any(m.frames != frames for m in motions):
         raise FrameMismatch("all motion tracks must share the frame count")
 
-    blocks = []
-    labels = []
-    for k, (track, cloud) in enumerate(zip(motions, clouds)):
-        X = cloud.points
-        block = np.empty((2 * frames, cloud.size))
-        for f in range(frames):
-            xy = track.rotations[f][:2] @ X + track.translations[f][:2, None]
-            block[2 * f] = xy[0]
-            block[2 * f + 1] = xy[1]
-        blocks.append(block)
-        labels.append(np.full(cloud.size, k))
-
-    data = np.hstack(blocks)
-    W = TrajectoryMatrix.from_dense(data)
-    return W, Labeling(np.concatenate(labels), len(motions))
+    # one (F, 2, P_k) product per motion, stacked frame by frame
+    blocks = [(m.rotations[:, :2] @ c.points + m.translations[:, :2, None])
+              .reshape(2 * frames, c.size) for m, c in zip(motions, clouds)]
+    labels = np.repeat(np.arange(len(clouds)), [c.size for c in clouds])
+    return (TrajectoryMatrix.from_dense(np.hstack(blocks)),
+            Labeling(labels, len(motions)))
 
 
 def corrupt(W, noise_sigma, missing_rate, seed):
@@ -274,12 +266,10 @@ def write_trajectory(path, W, labeling=None):
     n = labeling.n if labeling is not None else 0
     with open(path, "w") as fh:
         fh.write(f"{W.frames} {W.points} {n}\n")
-        for row in W.data:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-        for row in W.mask:
-            fh.write(" ".join("1" if v else "0" for v in row) + "\n")
+        np.savetxt(fh, W.data, fmt="%.17g")
+        np.savetxt(fh, W.mask, fmt="%d")
         if labeling is not None:
-            fh.write(" ".join(str(v) for v in labeling.labels) + "\n")
+            np.savetxt(fh, labeling.labels[None], fmt="%d")
         else:
             fh.write("-\n")
 
@@ -287,27 +277,31 @@ def write_trajectory(path, W, labeling=None):
 def read_trajectory(path):
     """Read the plain-text trajectory format; returns (W, labeling-or-None)."""
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [line for line in fh if line.strip()]
     try:
         F, P, n = (int(v) for v in lines[0].split())
-        data = np.array([[float(v) for v in lines[1 + r].split()]
-                         for r in range(2 * F)])
-        mask = np.array([[v == "1" for v in lines[1 + 2 * F + r].split()]
-                         for r in range(2 * F)])
-        label_line = lines[1 + 4 * F]
-    except (IndexError, ValueError) as exc:
+        # row by row, so only one row of token strings is alive at a time
+        data = np.array([np.array(line.split(), dtype=float)
+                         for line in lines[1:1 + 2 * F]])
+        bits = np.array([line.split() for line in lines[1 + 2 * F:1 + 4 * F]])
+        label_row = lines[1 + 4 * F].split()
+        if not np.isin(bits, ("0", "1")).all():
+            raise ValueError("mask entries must be 0 or 1")
+        labels = None if label_row == ["-"] else np.array(label_row, dtype=int)
+    except (IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed trajectory file {path}: {exc}") from exc
-    if data.shape != (2 * F, P) or mask.shape != (2 * F, P):
+    if data.shape != (2 * F, P) or bits.shape != (2 * F, P):
         raise ValueError(f"malformed trajectory file {path}: bad shape")
+    if len(lines) > 2 + 4 * F:
+        raise ValueError(f"malformed trajectory file {path}: "
+                         "lines after the label line")
 
-    W = TrajectoryMatrix(data, mask, F, P)
-    labeling = None
-    if label_line != "-":
-        labels = np.array([int(v) for v in label_line.split()])
-        if labels.size != P:
-            raise ValueError(f"malformed trajectory file {path}: bad labels")
-        labeling = Labeling(labels, n if n > 0 else int(labels.max()) + 1)
-    return W, labeling
+    W = TrajectoryMatrix(data, bits == "1", F, P)
+    if labels is None:
+        return W, None
+    if labels.size != P:
+        raise ValueError(f"malformed trajectory file {path}: bad labels")
+    return W, Labeling(labels, n if n > 0 else int(labels.max()) + 1)
 
 
 def _random_unit(rng):

@@ -86,10 +86,32 @@ def test_segment_deterministic(tmp_path, scene_file):
     assert outs[0] == outs[1]
 
 
-def test_segment_parse_failure_exit_3(tmp_path):
+def _set_first_entry(lines, row, token):
+    tokens = lines[row].split()
+    tokens[0] = token
+    lines[row] = " ".join(tokens)
+    return lines
+
+
+# the fixture's scene has 40 data rows, then 40 mask rows, then labels
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["not a trajectory"], "malformed trajectory file"),
+    # an unobserved entry (data 0) whose mask token is neither 0 nor 1
+    (lambda lines: _set_first_entry(_set_first_entry(lines, 1, "0"), 41, "7"),
+     "mask entries must be 0 or 1"),
+    (lambda lines: _set_first_entry(lines, 41, "1.0"),
+     "mask entries must be 0 or 1"),
+    (lambda lines: lines + ["0 1"], "lines after the label line"),
+    (lambda lines: _set_first_entry(lines, 81, "9" * 20), "too large"),
+], ids=["not-a-trajectory", "mask-token-7", "mask-token-1.0",
+        "line-after-labels", "label-overflow"])
+def test_segment_parse_failure_exit_3(tmp_path, scene_file, capsys, edit,
+                                      message):
     bad = tmp_path / "bad.traj"
-    bad.write_text("not a trajectory\n")
+    bad.write_text("\n".join(edit(scene_file.read_text().splitlines())) + "\n")
+    capsys.readouterr()
     assert run(["segment", str(bad)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_segment_non_finite_coordinate_exit_3(tmp_path, scene_file):
@@ -137,6 +159,12 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--m", "41", "--projector", "pca"], "m = 41 exceeds min(2F, P) = 40"),
     (["--sigma-e", "0", "--affinity-raw-error"], "sigma_e must be > 0"),
     (["--projector", "nope"], "projector must be 'pca' or 'spca'"),
+    (["--sigma", "nan"], "sigma must be > 0 and finite"),
+    (["--lambda", "nan"], "lambda must be >= 0 and finite"),
+    (["--sigma-e", "nan"], "sigma_e must be > 0 and finite"),
+    (["--gamma", "nan"], "gamma entries must be >= 0 and finite"),
+    (["--sigma-e", "inf"], "sigma_e must be > 0 and finite"),
+    (["--lambda", "inf"], "lambda must be >= 0 and finite"),
 ])
 def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                                          options, message):

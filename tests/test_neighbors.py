@@ -232,6 +232,20 @@ def test_batch_matches_per_row():
     assert len({s.iterations for s in batch.stats}) > 1
 
 
+def test_stats_are_one_record_array():
+    W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(20, 20)))
+    G = pca_project(W, 5)
+    batch = solve_all_neighbors(G, size=10).stats
+    single = solve_all_neighbors(G, size=1).stats  # one candidate per row
+    for stats in (batch, single):
+        assert isinstance(stats, np.recarray) and len(stats) == 40
+        assert stats.dtype.names == ("iterations", "primal_residual",
+                                     "dual_residual", "converged", "stalled")
+    assert single.dtype == batch.dtype
+    assert (single.iterations == 0).all() and single.converged.all()
+    assert not single.stalled.any()
+
+
 def test_solver_matches_reference_iterates():
     # a small rho makes some rows converge within the cap, at different
     # iterations, while others stall or run to it

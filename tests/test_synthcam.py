@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import subseg
-from subseg.synthcam import (FrameMismatch, PointCloud3D, SceneConfig,
-                             TrajectoryMatrix, corrupt, make_motion_track,
-                             make_scene, project_scene, read_trajectory,
-                             write_trajectory)
+from subseg.synthcam import (FrameMismatch, Labeling, MotionTrack,
+                             PointCloud3D, SceneConfig, TrajectoryMatrix,
+                             corrupt, make_motion_track, make_scene,
+                             project_scene, read_trajectory, write_trajectory)
 
 
 def numerical_rank(M, rel_tol=1e-9):
@@ -42,6 +42,52 @@ def test_track_deterministic():
                           translation_rate=0.1)
     assert np.array_equal(a.rotations, b.rotations)
     assert np.array_equal(a.translations, b.translations)
+
+
+SKEWED = np.eye(3) + np.diag([1e-6, 0.0], k=1)   # a shear: det is +1
+REFLECTION = np.diag([1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({2: SKEWED}, "rotation 2 is not orthonormal"),
+    ({2: REFLECTION}, "rotation 2 has det != +1"),
+    ({1: REFLECTION, 3: SKEWED}, "rotation 1 has det != +1"),
+    ({1: SKEWED, 3: REFLECTION}, "rotation 1 is not orthonormal"),
+])
+def test_motion_track_names_first_bad_rotation(bad, message):
+    track = make_motion_track(seed=1, frames=5, rotation_rate=0.1,
+                              translation_rate=0.05)
+    rotations = track.rotations.copy()
+    for f, R in bad.items():
+        rotations[f] = R
+    with pytest.raises(ValueError) as info:
+        MotionTrack(rotations, track.translations)
+    assert str(info.value) == message
+
+
+def test_project_scene_matches_per_frame_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(1, 4))
+        frames = int(rng.integers(3, 12))
+        motions = [make_motion_track(seed=[trial, k], frames=frames,
+                                     rotation_rate=rng.uniform(0.0, 0.4),
+                                     translation_rate=rng.uniform(0.0, 2.0))
+                   for k in range(n)]
+        clouds = [random_cloud(rng, size=int(rng.integers(4, 30)))
+                  for _ in range(n)]
+        W, labeling = project_scene(motions, clouds)
+        blocks = []
+        for track, cloud in zip(motions, clouds):
+            block = np.empty((2 * frames, cloud.size))
+            for f in range(frames):
+                xy = (track.rotations[f][:2] @ cloud.points
+                      + track.translations[f][:2, None])
+                block[2 * f], block[2 * f + 1] = xy
+            blocks.append(block)
+        assert np.array_equal(W.data, np.hstack(blocks))
+        assert labeling.labels.tolist() == [
+            k for k, cloud in enumerate(clouds) for _ in range(cloud.size)]
 
 
 def test_static_motion_degenerate_rank():
@@ -175,6 +221,29 @@ def test_trajectory_file_without_labels(tmp_path):
     W2, labels2 = read_trajectory(path)
     assert labels2 is None
     assert np.array_equal(W.data, W2.data)
+
+
+def test_trajectory_file_golden_text(tmp_path):
+    data = np.array([[0.1, -0.0, 1e-300],
+                     [123456789.123, 0.0, -2.5]])
+    mask = np.array([[True, True, True], [True, False, True]])
+    W = TrajectoryMatrix(data, mask, 1, 3)
+    body = ("0.10000000000000001 -0 1e-300\n"
+            "123456789.123 0 -2.5\n"
+            "1 1 1\n"
+            "1 0 1\n")
+    for labeling, header, last in ((Labeling([0, 1, 1], 2), "1 3 2", "0 1 1"),
+                                   (None, "1 3 0", "-")):
+        path = tmp_path / "tiny.traj"
+        write_trajectory(path, W, labeling)
+        assert path.read_text() == f"{header}\n{body}{last}\n"
+        W2, labels2 = read_trajectory(path)
+        assert np.array_equal(W2.data, data) and np.signbit(W2.data[0, 1])
+        assert np.array_equal(W2.mask, mask)
+        if labeling is None:
+            assert labels2 is None
+        else:
+            assert labels2.labels.tolist() == [0, 1, 1] and labels2.n == 2
 
 
 def test_masked_entries_must_be_zero():
