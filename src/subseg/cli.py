@@ -155,9 +155,13 @@ def cmd_eval(args):
             raise ValueError("trajectory file carries no labels")
         with open(args.labels) as fh:
             pred_labels = [int(line) for line in fh if line.strip()]
-        pred = synthcam.Labeling(np.array(pred_labels),
-                                 max(pred_labels, default=0) + 1)
-    except (OSError, ValueError) as exc:
+        # the confusion matrix is square in the largest id: bound it by P
+        top = max(pred_labels, default=0)
+        if top >= len(truth):
+            raise ValueError(f"predicted label {top} is not below the "
+                             f"{len(truth)} trajectories")
+        pred = synthcam.Labeling(np.array(pred_labels), top + 1)
+    except (OSError, ValueError, OverflowError) as exc:
         return _fail(EXIT_PARSE, f"cannot read inputs: {exc}")
 
     try:

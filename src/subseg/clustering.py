@@ -94,8 +94,11 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
         sigma_e = None
     else:
         if sigma_e is None:
+            # the exact median, partitioned in place on its own copy
             positive = e[e > 0]
-            sigma_e = float(np.median(positive)) if positive.size else 1.0
+            sigma_e = (float(np.median(positive, overwrite_input=True))
+                       if positive.size else 1.0)
+            del positive
         B = np.divide(e, -sigma_e)
         np.exp(B, out=B)
     A = np.abs(Omega)
@@ -181,11 +184,17 @@ def kmeans(X, n, restarts=10, seed=0):
 def segment(W, config):
     """Full pipeline: project, sparse neighbors, residuals, affinity,
     spectral clustering.  Returns (labeling, report) where the report
-    carries per-stage timings, eigenvalues, and solver diagnostics.
+    carries per-stage timings, eigenvalues, and solver diagnostics; its
+    key set is versioned by ``report["schema"]``.
+
+    Each P x P array is released once the next stage no longer needs it:
+    the solver's C and X once Omega is formed (only the row stats are
+    kept), Omega and E once the affinity is built.
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")
-    report = {"stages": {}, "n": config.n, "projector": config.projector}
+    report = {"schema": 1, "stages": {}, "n": config.n,
+              "projector": config.projector}
     clock = time.perf_counter
 
     t0 = clock()
@@ -206,14 +215,15 @@ def segment(W, config):
                                       admm=config.admm)
     Omega = nb.weight_matrix(solution.C, solution.X).Omega
     report["stages"]["sparse_neighbors"] = clock() - t0
-    stats = solution.stats
+    stats, stalled_rows = solution.stats, solution.stalled_rows
+    del solution
     converged = int(stats.converged.sum())
     p50, p90 = np.percentile(stats.iterations, [50, 90])
     report["solver"] = {
         "rows": len(stats),
         "rows_converged": converged,
         "rows_capped": len(stats) - converged,
-        "stalled_rows": solution.stalled_rows,
+        "stalled_rows": stalled_rows,
         "max_primal_residual": float(stats.primal_residual.max()),
         "mean_iterations": float(np.mean(stats.iterations)),
         "iterations_p50": float(p50),
@@ -227,6 +237,7 @@ def segment(W, config):
 
     t0 = clock()
     affinity = build_affinity(Omega, E, config.sigma_e, config.raw_error)
+    del Omega, E
     L = normalized_laplacian(affinity.A)
     embedding = spectral_embed(L, config.n)
     labeling = kmeans(embedding.U, config.n, config.restarts, config.seed)

@@ -72,14 +72,28 @@ def search_area(x, self_index, size):
     """Indices of the ``size`` smallest distances, excluding the point itself.
 
     Works along the last axis: one row of distances with a scalar
-    ``self_index``, or stacked rows with one self index per row.  Ties
-    resolve to the lower index (stable sort).
+    ``self_index``, or stacked rows with one self index per row.  The
+    result equals the first ``size`` entries of a stable argsort with the
+    point itself left out, so ties resolve to the lower index.  A partial
+    selection (``argpartition``) keeps each row's ``size + 1`` smallest
+    entries and a (distance, index) ``lexsort`` orders them; only a row
+    whose boundary value recurs outside the kept entries, or whose kept
+    entries hold a NaN, is sorted in full.
     """
     if size < 1:
         raise ValueError("search area size must be >= 1")
-    # only a row's first size + 1 entries can be kept: drop the point
-    # itself if it is among them, else the last one
-    order = np.argsort(x, axis=-1, kind="stable")[..., :size + 1]
+    x = np.asarray(x)
+    keep_n = min(size + 1, x.shape[-1])
+    order = np.argpartition(x, keep_n - 1, axis=-1)[..., :keep_n]
+    kept = np.take_along_axis(x, order, axis=-1)
+    # argpartition puts the keep_n-th smallest value at position keep_n - 1
+    tied = np.count_nonzero(x <= kept[..., -1:], axis=-1) != keep_n
+    if tied.any():
+        order[tied] = np.argsort(x[tied], axis=-1, kind="stable")[..., :keep_n]
+        kept[tied] = np.take_along_axis(x[tied], order[tied], axis=-1)
+    order = np.take_along_axis(order, np.lexsort((order, kept), axis=-1),
+                               axis=-1)
+    # drop the point itself if it is among the kept entries, else the last
     keep = order != np.expand_dims(self_index, -1)
     keep &= np.cumsum(keep, axis=-1) <= size
     return order[keep].reshape(order.shape[:-1] + (-1,))
@@ -126,7 +140,7 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     Stalled rows are flagged in the stats and a single summary warning is
     issued, never dropped.
     """
-    _, X = nsi_dissimilarity_rows(subspace)
+    X = nsi_dissimilarity_rows(subspace)[1]
     P = X.shape[0]
     if P < 2:
         raise ValueError("need at least 2 trajectories")
@@ -266,13 +280,21 @@ def _solve_rows(x_all, sigma, lam, admm):
 def weight_matrix(C, X):
     """Distance-normalized weights omega_ij = (c_ij/X_ij) / sum_t c_it/X_it.
 
-    Zero distances (coincident points) are clamped to 1e-12 so duplicates
-    get near-total weight instead of a division by zero.  Rows whose
-    normalizer vanishes are left zero.
+    Only the nonzero coefficients are divided by their distances; every
+    other entry keeps C's zero, which the quotient gives for any non-NaN
+    distance.  Zero distances (coincident points) are clamped to 1e-12 so
+    duplicates get near-total weight instead of a division by zero.  The
+    normalizer is the dense row sum; rows where it vanishes are left zero.
+    The ratios are normalized in place, so Omega, C-ordered whatever the
+    layout of C, is the one P x P array made.
     """
-    ratios = C / np.maximum(X, 1e-12)
+    ratios = np.array(C, dtype=float, order="C")
+    flat = ratios.reshape(-1)
+    support = np.flatnonzero(flat != 0)
+    flat[support] /= np.maximum(np.take(X, support), 1e-12)
     np.fill_diagonal(ratios, 0.0)
     denom = ratios.sum(axis=1, keepdims=True)
-    Omega = np.zeros_like(ratios)
-    np.divide(ratios, denom, out=Omega, where=np.abs(denom) > 1e-12)
-    return WeightMatrix(Omega)
+    valid = np.abs(denom) > 1e-12
+    np.divide(ratios, denom, out=ratios, where=valid)
+    ratios[~valid[:, 0]] = 0.0
+    return WeightMatrix(ratios)

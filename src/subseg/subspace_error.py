@@ -51,15 +51,27 @@ def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
     E[i, t] = ||g_t - B_i B_i^T g_t||^2 for every projected point g_t.
 
     With an orthonormal basis the Moore-Penrose inverse is the transpose,
-    so B B^T is the orthogonal projector onto the local subspace.
-    Returns the ErrorMatrix and the list of LocalSubspace, one per point.
+    so B B^T is the orthogonal projector onto the local subspace.  The
+    members of every row come from one pass over the support of Omega
+    (its diagonal set), and each residual row is formed in one reused
+    m x P buffer.  Returns the ErrorMatrix and the list of LocalSubspace,
+    one per point.
     """
     G = subspace.data
-    E = np.empty((subspace.points, subspace.points))
+    P = subspace.points
+    support = Omega != 0
+    np.fill_diagonal(support, True)
+    rows, cols = np.nonzero(support)
+    del support
+    bounds = np.searchsorted(rows, np.arange(P + 1))
+    E = np.empty((P, P))
+    residual = np.empty_like(G)
     subspaces = []
-    for i in range(subspace.points):
-        members = np.unique(np.append(np.flatnonzero(Omega[i]), i))
+    for i in range(P):
+        members = cols[bounds[i]:bounds[i + 1]]
         B, rank = subspace_basis(G[:, members], rank_tol)
-        E[i] = np.sum((G - B @ (B.T @ G)) ** 2, axis=0)
+        np.subtract(G, B @ (B.T @ G), out=residual)
+        np.square(residual, out=residual)
+        np.sum(residual, axis=0, out=E[i])
         subspaces.append(LocalSubspace(members, B, rank))
     return ErrorMatrix(E), subspaces

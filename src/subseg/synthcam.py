@@ -292,6 +292,9 @@ def read_trajectory(path):
         raise ValueError(f"malformed trajectory file {path}: {exc}") from exc
     if data.shape != (2 * F, P) or bits.shape != (2 * F, P):
         raise ValueError(f"malformed trajectory file {path}: bad shape")
+    if n > P:
+        raise ValueError(f"malformed trajectory file {path}: "
+                         f"{n} motions but {P} trajectories")
     if len(lines) > 2 + 4 * F:
         raise ValueError(f"malformed trajectory file {path}: "
                          "lines after the label line")

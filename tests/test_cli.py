@@ -125,13 +125,24 @@ def test_segment_non_finite_coordinate_exit_3(tmp_path, scene_file):
 
 
 def test_segment_more_motions_than_points_exit_2(tmp_path, scene_file, capsys):
+    P = int(scene_file.read_text().split()[1])
+    assert run(["segment", str(scene_file), "--n", str(P + 1)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_header_more_motions_than_points_exit_3(tmp_path, scene_file, capsys):
     lines = scene_file.read_text().splitlines()
     F, P, _ = lines[0].split()
     lines[0] = f"{F} {P} {int(P) + 1}"
     bad = tmp_path / "toomany.traj"
     bad.write_text("\n".join(lines) + "\n")
-    assert run(["segment", str(bad)]) == 2
-    assert "exceeds" in capsys.readouterr().err
+    labels_path = tmp_path / "pred.labels"
+    labels_path.write_text("0\n" * int(P))
+    capsys.readouterr()
+    assert run(["segment", str(bad)]) == 3
+    assert run(["eval", str(bad), str(labels_path)]) == 3
+    assert f"{int(P) + 1} motions but {P} trajectories" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("projector", ["spca", "pca"])
@@ -280,6 +291,24 @@ def test_eval_negative_label_exit_3(tmp_path, scene_file, capsys):
     capsys.readouterr()
     assert run(["eval", str(scene_file), str(labels_path)]) == 3
     assert "labels must lie in [0, n)" in capsys.readouterr().err
+
+
+# the fixture has 60 trajectories; ids from 60 on, and ids beyond int64,
+# cannot be scored
+@pytest.mark.parametrize("label, message", [
+    ("60", "predicted label 60 is not below the 60 trajectories"),
+    ("65", "predicted label 65 is not below the 60 trajectories"),
+    ("9" * 20, "is not below the 60 trajectories"),
+    ("-" + "9" * 20, "too large"),
+], ids=["P", "P+5", "int64-overflow", "negative-int64-overflow"])
+def test_eval_label_out_of_range_exit_3(tmp_path, scene_file, capsys, label,
+                                        message):
+    labels_path = tmp_path / "pred.labels"
+    labels_path.write_text("\n".join(["0"] * 59 + [label]) + "\n")
+    capsys.readouterr()
+    assert run(["eval", str(scene_file), str(labels_path)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 def test_report_svg(tmp_path, scene_file):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,19 +304,50 @@ def test_segment_noiseless_two_motions_exact():
     assert len(report["eigenvalues"]) == 2
     assert report["labels"] == labeling.labels.tolist()
     assert report["sigma_e"] > 0
-    assert set(report) == {"stages", "n", "projector", "spca", "solver",
-                           "connected_components", "sigma_e", "eigenvalues",
-                           "spectral_gap", "labels"}
     assert report["spectral_gap"] > 0
     solver = report["solver"]
-    assert set(solver) == {"rows", "rows_converged", "rows_capped",
-                           "stalled_rows", "max_primal_residual",
-                           "mean_iterations", "iterations_p50",
-                           "iterations_p90", "iterations_max"}
     assert solver["rows"] == W.points
     assert solver["rows_converged"] + solver["rows_capped"] == W.points
     assert (solver["iterations_p50"] <= solver["iterations_p90"]
             <= solver["iterations_max"] <= SegmentConfig(n=2).admm.max_iter)
+
+
+REPORT_KEYS = {"schema", "stages", "n", "projector", "solver",
+               "connected_components", "sigma_e", "eigenvalues",
+               "spectral_gap", "labels"}
+SOLVER_KEYS = {"rows", "rows_converged", "rows_capped", "stalled_rows",
+               "max_primal_residual", "mean_iterations", "iterations_p50",
+               "iterations_p90", "iterations_max"}
+
+
+@pytest.mark.parametrize("projector, extra", [("spca", {"spca"}),
+                                              ("pca", set())])
+def test_report_schema_pins_every_key(projector, extra):
+    W, _ = make_scene(SceneConfig(n_motions=2, points_per_motion=20,
+                                  frames=10, seed=4))
+    _, report = segment(W, SegmentConfig(n=2, projector=projector))
+    assert report["schema"] == 1
+    assert set(report) == REPORT_KEYS | extra
+    assert set(report["solver"]) == SOLVER_KEYS
+    if extra:
+        assert set(report["spca"]) == {"iterations", "converged",
+                                       "active_fraction"}
+
+
+def test_segment_peak_memory_below_five_dense_arrays():
+    """segment() drops C and X before the error stage and Omega and E
+    before the Laplacian, so fewer than five P x P float arrays are ever
+    allocated at once."""
+    P = 900
+    W, _ = make_scene(SceneConfig(n_motions=3, points_per_motion=P // 3,
+                                  seed=1))
+    tracemalloc.start()
+    try:
+        segment(W, SegmentConfig(n=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * P * P * 8
 
 
 def test_segment_label_permutation_metamorphic():

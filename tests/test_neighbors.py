@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
@@ -179,6 +181,42 @@ def test_search_area_tie_break_lower_index():
     assert search_area(np.array([0.3, 0.1, 0.2, 0.0]), 0, 2).tolist() == [3, 1]
 
 
+def search_area_oracle(x, self_index, size):
+    """The first ``size`` indices of a full stable argsort, self left out."""
+    order = np.argsort(x, kind="stable")
+    return order[order != self_index][:size].tolist()
+
+
+@st.composite
+def tied_distances(draw):
+    """Stacked rows of integer-valued distances with many ties (plus an
+    occasional -0.0, inf or NaN), and per row the sorted position of the
+    point itself, so it falls inside, at and outside the boundary."""
+    rows = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, -0.0, np.inf, np.nan])
+    X = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                               min_size=rows, max_size=rows)))
+    positions = draw(st.lists(st.integers(0, n - 1), min_size=rows,
+                              max_size=rows))
+    return X, positions
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tied_distances())
+def test_search_area_matches_stable_argsort(case):
+    X, positions = case
+    n = X.shape[1]
+    self_index = np.array([np.argsort(x, kind="stable")[p]
+                           for x, p in zip(X, positions)])
+    for size in range(1, n + 1):
+        expected = [search_area_oracle(x, i, size)
+                    for x, i in zip(X, self_index)]
+        assert search_area(X, self_index, size).tolist() == expected
+        for x, i, want in zip(X, self_index, expected):
+            assert search_area(x, i, size).tolist() == want
+
+
 def test_single_candidate_forced():
     c, stats = solve_sparse_neighbors(np.array([0.4]))
     assert c.tolist() == [1.0]
@@ -344,6 +382,39 @@ def test_weight_matrix_zero_distance_clamped():
     Om = weight_matrix(C, X).Omega
     # the coincident point draws essentially all the weight
     assert Om[0, 1] == pytest.approx(1.0, abs=1e-9)
+
+
+def weight_matrix_dense(C, X):
+    """The dense form of the weights: every ratio, then masked division."""
+    ratios = C / np.maximum(X, 1e-12)
+    np.fill_diagonal(ratios, 0.0)
+    denom = ratios.sum(axis=1, keepdims=True)
+    Omega = np.zeros_like(ratios)
+    np.divide(ratios, denom, out=Omega, where=np.abs(denom) > 1e-12)
+    return Omega
+
+
+def test_weight_matrix_matches_dense_form():
+    rng = np.random.default_rng(11)
+    P = 12
+    C = rng.normal(size=(P, P)) * (rng.uniform(size=(P, P)) < 0.3)
+    C[3] = 0.0                          # all-zero row
+    C[4, 4] = 0.7                       # nonzero diagonal
+    C[5, :3] = [0.5, -0.5, 0.0]         # normalizer cancels to zero
+    C[6] = -np.abs(C[6]) - 0.1          # negative row sum ...
+    C[6, ::2] = -0.0                    # ... with signed zeros
+    X = rng.uniform(0.0, 1.0, size=(P, P))
+    X[1, :] = 0.0                       # coincident points
+    # Omega is C-ordered, so a transposed input is summed as its copy is
+    cases = [(C, X), (C, np.zeros((P, P))), (np.zeros((P, P)), X),
+             (C.T, X.T)]
+    for C_case, X_case in cases:
+        got = weight_matrix(C_case, X_case).Omega
+        want = weight_matrix_dense(np.ascontiguousarray(C_case),
+                                   np.ascontiguousarray(X_case))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_solver_rejects_bad_inputs():

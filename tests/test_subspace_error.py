@@ -209,3 +209,25 @@ def test_error_rows_match_least_squares_projection():
             coef = np.linalg.lstsq(cols, G.data, rcond=None)[0]
             expected = np.sum((G.data - cols @ coef) ** 2, axis=0)
             assert np.max(np.abs(E.data[i] - expected)) < 1e-10
+
+
+def test_members_and_rows_match_per_row_reference():
+    """Members from the one support pass, and E from the reused residual
+    buffer, equal the per-row unique/append form and the plain residual
+    expression bit for bit."""
+    rng = np.random.default_rng(8)
+    m, P = 5, 30
+    G = unit_subspace(rng.normal(size=(m, P)))
+    Omega = rng.normal(size=(P, P)) * (rng.uniform(size=(P, P)) < 0.15)
+    Omega[2] = 0.0                       # empty row: the point alone
+    Omega[4, 4] = 0.3                    # the point already in its support
+    Omega[5, :] = -0.0                   # negative zeros are not support
+    Omega[6, 6:] = 1.0                   # a saturated row
+    E, subspaces = build_error_matrix(G, Omega)
+    for i in range(P):
+        members = np.unique(np.append(np.flatnonzero(Omega[i]), i))
+        assert np.array_equal(subspaces[i].members, members)
+        B = subspaces[i].basis
+        assert np.array_equal(E.data[i],
+                              np.sum((G.data - B @ (B.T @ G.data)) ** 2,
+                                     axis=0))
