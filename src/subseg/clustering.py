@@ -82,9 +82,10 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     The residual enters as exp(-e/sigma_e) so small error (same local
     subspace) means strong connection; the literal absolute-error variant
     stays available behind ``raw_error`` for comparison.  A is assembled
-    in two P x P buffers.  If some vertex links to every other one the
-    graph is connected; only otherwise are the components counted on a
-    sparse copy of the edge pattern.
+    in two P x P buffers and symmetrized tile by tile
+    (``neighbors.symmetrize``).  If some vertex links to every other one
+    the graph is connected; only otherwise are the components counted on
+    a sparse copy of the edge pattern.
     """
     if sigma_e is not None and not 0 < sigma_e < np.inf:
         raise ValueError("sigma_e must be > 0 and finite")
@@ -103,8 +104,7 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
         np.exp(B, out=B)
     A = np.abs(Omega)
     B += A
-    np.add(B.T, B, out=A)
-    A *= 0.5
+    nb.symmetrize(B, out=A)
     np.fill_diagonal(A, 0.0)
     P = A.shape[0]
     if (np.count_nonzero(A, axis=1) == P - 1).any():
@@ -117,7 +117,8 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
 def normalized_laplacian(A):
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
-    Isolated vertices get identity rows; eigenvalues lie in [0, 2].
+    Isolated vertices get identity rows; eigenvalues lie in [0, 2].  The
+    scaled matrix is made exactly symmetric by ``neighbors.symmetrize``.
     """
     d = A.sum(axis=1)
     inv_sqrt = np.zeros_like(d)
@@ -125,9 +126,7 @@ def normalized_laplacian(A):
     L = np.multiply(A, -inv_sqrt[:, None])
     L *= inv_sqrt
     np.fill_diagonal(L, 1.0)
-    sym = np.add(L.T, L)
-    sym *= 0.5
-    return sym
+    return nb.symmetrize(L, out=np.empty_like(L))
 
 
 def spectral_embed(L, n):

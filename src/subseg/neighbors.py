@@ -5,13 +5,22 @@ dissimilarities, then a weighted L1 problem with an affine constraint
 picks the few candidates spanning the same local subspace.  The solver is
 an alternating-direction scheme: an equality-constrained least-squares
 step, entrywise soft-thresholding, and dual ascent.  One vectorized loop
-solves all rows at once; a single row is solved as a batch of one.  The
-loop writes into preallocated buffers and steps every row on every
-iteration; each row's result is recorded at the iteration it converges.
-Its iterates equal those of a plain per-row loop bit for bit; only the
-reported residual norms may differ from np.linalg.norm in the last ulp.
+solves stacked rows in blocks of ``_BLOCK_ENTRIES // k`` rows, sized so
+that a block's buffers stay in a per-core L2 cache; a single row is
+solved as a batch of one.  The loop writes into preallocated buffers and
+steps every row of a block on every iteration; each row's result is
+recorded at the iteration it converges.  Every step, the
+stopping-test norms included, acts on each row alone, so a row's result
+(coefficients, iterations, flags and residual norms) is the same bits in
+any batch and any block.  Its iterates equal those of a plain per-row
+loop bit for bit; only the reported residual norms may differ from
+np.linalg.norm in the last ulp.
+
+The NSI matrix, the affinity and the Laplacian are symmetrized by one
+tiled helper, ``symmetrize``.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -20,17 +29,38 @@ import numpy as np
 
 _STATS_FIELDS = "iterations,primal_residual,dual_residual,converged,stalled"
 
+# Entries per (rows, k) buffer of one ADMM block: 512 rows at k = 20.  A
+# block's sixteen such buffers then take about 1.3 MB, which stays inside
+# a 2 MB per-core L2 cache; the whole P = 3000 batch (7.7 MB) does not.
+_BLOCK_ENTRIES = 10240
+
+# Side of the square tiles ``symmetrize`` works on: the three tiles one
+# step touches (of M, its transposed partner and the output) take 1.5 MB.
+_TILE = 256
+
 
 class SolverStall(UserWarning):
     """A row solve plateaued above tolerance; its last iterate is kept."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmmParams:
+    """Penalty, stopping tolerances and iteration cap of the ADMM solve,
+    checked at construction and immutable after it."""
+
     rho: float = 1.0
     tol_abs: float = 1e-8
     tol_rel: float = 1e-6
     max_iter: int = 2000
+
+    def __post_init__(self):
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be > 0 and finite")
+        if not (0 <= self.tol_abs < np.inf and 0 <= self.tol_rel < np.inf):
+            raise ValueError("tol_abs and tol_rel must be >= 0 and finite")
+        if (not isinstance(self.max_iter, numbers.Integral)
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -61,11 +91,37 @@ def nsi_dissimilarity_rows(subspace):
     Returns the pair (sim, X) of P x P arrays; sim is symmetric in [0, 1].
     Small distance means geometrically close, which is what both the
     solver weights and the final weight-matrix normalization require.
+    The Gram product runs on a C-ordered copy of G, so any layout of the
+    subspace data gives the same bits, and the two P x P results are the
+    only P x P arrays made.
     """
-    G = subspace.data
-    sim = (G.T @ G) ** 2
-    sim = np.clip(0.5 * (sim + sim.T), 0.0, 1.0)
-    return sim, 1.0 - sim
+    G = np.ascontiguousarray(subspace.data)
+    X = np.matmul(G.T, G)
+    np.square(X, out=X)
+    sim = symmetrize(X, out=np.empty_like(X))
+    np.clip(sim, 0.0, 1.0, out=sim)
+    np.subtract(1.0, sim, out=X)
+    return sim, X
+
+
+def symmetrize(M, out):
+    """0.5 * (M + M.T) of a square M, written into ``out`` tile by tile.
+
+    Each entry is (M[i, j] + M[j, i]) * 0.5, the same operations as the
+    whole-matrix expression, so the result is the same bits and exactly
+    symmetric.  Working on square tiles and their transposed partners
+    keeps the strided reads of M.T in cache.  ``out`` must not overlap M.
+    Returns ``out``.
+    """
+    P = M.shape[0]
+    for i in range(0, P, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, P, _TILE):
+            cols = slice(j, j + _TILE)
+            tile = out[rows, cols]
+            np.add(M[rows, cols], M[cols, rows].T, out=tile)
+            tile *= 0.5
+    return out
 
 
 def search_area(x, self_index, size):
@@ -167,15 +223,16 @@ def _solve_rows(x_all, sigma, lam, admm):
     The stopping test is the primal/dual residual test of Boyd et al.
     (2011), section 3.3.1.
 
-    Every update is written into preallocated buffers.  The iterate c, z, u
-    and the residual vectors c - z and z - z_prev live in two (5, rows, k)
-    stacks that swap roles each iteration, so the five row norms of the
-    stopping test take one square and one matrix-vector product.  Every row
-    is stepped on every iteration; a row's c, z, residuals and iteration
-    count are recorded at the iteration it converges, so its result does
-    not depend on the other rows in the batch.  The iterates are exactly
-    those of the textbook per-row loop; the residual norms are summed in
-    another order, so they can differ from np.linalg.norm in the last ulp.
+    The thresholds and the KKT diagonal are computed once for all rows;
+    the iteration then runs block by block (``_admm_block``), each block
+    ``_BLOCK_ENTRIES // k`` rows, so that at k = 20 a block's buffers
+    stay in a per-core L2 cache.  Every operation of the loop, the
+    residual norms included, acts on each row alone, so a row's iterates,
+    iteration count and residuals do not depend on its block or on the
+    other rows: they equal those of the same row solved as a batch of
+    one.  The iterates are exactly those of the textbook per-row loop;
+    the residual norms are summed in another order, so they can differ
+    from np.linalg.norm in the last ulp.
 
     Returns the coefficients and a record array of row stats: iterations,
     primal_residual, dual_residual, converged (the stopping test passed)
@@ -196,38 +253,66 @@ def _solve_rows(x_all, sigma, lam, admm):
         sigma = x_all.mean(axis=1, keepdims=True)
         sigma[sigma == 0] = 1.0
     thresh = lam * proximity_weights(x_all, sigma) / admm.rho
-    neg_thresh = -thresh
-
     H = 1.0 / (x_all ** 2 + admm.rho)
     H_sum = H.sum(axis=1, keepdims=True)
 
+    rows = max(1, _BLOCK_ENTRIES // k)
+    blocks = [_admm_block(thresh[i:i + rows], H[i:i + rows],
+                          H_sum[i:i + rows], admm)
+              for i in range(0, R, rows)]
+    c_out, z_out, r_out, s_out, iterations, active = map(np.concatenate,
+                                                          zip(*blocks))
+
+    stalled = active & (r_out > 1e-3)
+    # keep only the support the L1 step selected; renormalizing the
+    # surviving entries restores 1^T c = 1 exactly
+    kept = np.where(z_out != 0.0, c_out, 0.0)
+    total = kept.sum(axis=1, keepdims=True)
+    np.divide(kept, total, out=c_out, where=np.abs(total) > 1e-3)
+    stats = np.rec.fromarrays([iterations, r_out, s_out, ~active, stalled],
+                              names=_STATS_FIELDS)
+    return c_out, stats
+
+
+def _admm_block(thresh, H, H_sum, admm):
+    """Run the ADMM loop of ``_solve_rows`` on one block of rows.
+
+    Returns each row's c, z, primal and dual residuals and iteration count,
+    recorded at the iteration it converges, and whether it is still active
+    (not converged) at the cap; the loop ends once every row has converged.
+    Every update is written into buffers allocated before the loop.  The
+    iterate c, z, u and the residual vectors c - z and z - z_prev live in
+    two (5, rows, k) stacks that swap roles each iteration, so the five
+    norms of every row take one per-row contraction.
+    """
+    R, k = H.shape
+    c_out = np.empty((R, k))
+    z_out = np.empty((R, k))
+    r_out = np.empty(R)
+    s_out = np.empty(R)
+    iterations = np.empty(R, dtype=int)
+    active = np.ones(R, dtype=bool)
+    neg_thresh = -thresh
     # stack rows: c, z, u, c - z, z - z_prev
     cur = np.zeros((5, R, k))
     cur[:2] = 1.0 / k
     nxt = np.empty_like(cur)
-    squares = np.empty_like(cur)
-    norms = np.empty((5, R))
-    ones = np.ones(k)
     w, v, tmp = np.empty((3, R, k))
     nu = np.empty((R, 1))
+    norms = np.empty((5, R))
+    c_norm, z_norm, u_norm, r, s = norms
+    eps_pri, eps_dual = np.empty((2, R))
+    done, passed = np.empty((2, R), dtype=bool)
     eps_abs = np.sqrt(k) * admm.tol_abs
     dual_rel = admm.tol_rel * admm.rho
 
-    c_out = np.empty((R, k))
-    z_out = np.empty((R, k))
-    r_out = np.zeros(R)
-    s_out = np.zeros(R)
-    iterations = np.zeros(R, dtype=int)
-    active = np.ones(R, dtype=bool)
-
-    def record(rows, it, r, s):
+    def record(rows, it):
         c_out[rows] = cur[0, rows]
         z_out[rows] = cur[1, rows]
         r_out[rows] = r[rows]
         s_out[rows] = s[rows]
         iterations[rows] = it
 
-    it, r, s = 0, r_out, s_out  # what a zero-iteration run reports
     for it in range(1, admm.max_iter + 1):
         z, u = cur[1], cur[2]
         c_new, z_new, u_new = nxt[0], nxt[1], nxt[2]
@@ -249,32 +334,27 @@ def _solve_rows(x_all, sigma, lam, admm):
         np.subtract(c_new, z_new, out=nxt[3])
         np.subtract(z_new, z, out=nxt[4])
 
-        np.square(nxt, out=squares)
-        np.matmul(squares, ones, out=norms)
+        np.einsum("ijk,ijk->ij", nxt, nxt, out=norms)
         np.sqrt(norms, out=norms)
-        c_norm, z_norm, u_norm, r, s = norms
-        s = admm.rho * s
-        eps_pri = eps_abs + admm.tol_rel * np.maximum(c_norm, z_norm)
-        eps_dual = eps_abs + dual_rel * u_norm
+        np.multiply(admm.rho, s, out=s)
+        np.maximum(c_norm, z_norm, out=eps_pri)
+        np.multiply(admm.tol_rel, eps_pri, out=eps_pri)
+        np.add(eps_abs, eps_pri, out=eps_pri)
+        np.multiply(dual_rel, u_norm, out=eps_dual)
+        np.add(eps_abs, eps_dual, out=eps_dual)
         cur, nxt = nxt, cur
         # a NaN residual compares false, so its row stays active
-        done = active & (r <= eps_pri) & (s <= eps_dual)
+        np.less_equal(r, eps_pri, out=done)
+        np.less_equal(s, eps_dual, out=passed)
+        done &= passed
+        done &= active
         if done.any():
-            record(done, it, r, s)
+            record(done, it)
             active &= ~done
             if not active.any():
                 break
-    record(active, it, r, s)
-
-    stalled = active & (r_out > 1e-3)
-    # keep only the support the L1 step selected; renormalizing the
-    # surviving entries restores 1^T c = 1 exactly
-    kept = np.where(z_out != 0.0, c_out, 0.0)
-    total = kept.sum(axis=1, keepdims=True)
-    np.divide(kept, total, out=c_out, where=np.abs(total) > 1e-3)
-    stats = np.rec.fromarrays([iterations, r_out, s_out, ~active, stalled],
-                              names=_STATS_FIELDS)
-    return c_out, stats
+    record(active, it)
+    return c_out, z_out, r_out, s_out, iterations, active
 
 
 def weight_matrix(C, X):

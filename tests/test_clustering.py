@@ -211,6 +211,26 @@ def test_connectivity_shortcut_agrees_with_sparse_count(monkeypatch):
     assert aff.n_components == 1 and len(calls) == 1
 
 
+def test_affinity_and_laplacian_match_whole_matrix_forms():
+    """The tiled symmetrization gives the bits of the whole-matrix
+    expressions across tile boundaries."""
+    P = 600
+    rng = np.random.default_rng(6)
+    Omega = np.where(rng.uniform(size=(P, P)) < 0.03,
+                     rng.uniform(-0.2, 1.0, size=(P, P)), 0.0)
+    E = rng.exponential(size=(P, P))
+    B = np.exp(E / -0.5) + np.abs(Omega)
+    want = 0.5 * (B + B.T)
+    np.fill_diagonal(want, 0.0)
+    A = build_affinity(Omega, ErrorMatrix(E), sigma_e=0.5).A
+    assert np.array_equal(A, want)
+
+    inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
+    L = A * -inv_sqrt[:, None] * inv_sqrt
+    np.fill_diagonal(L, 1.0)
+    assert np.array_equal(normalized_laplacian(A), 0.5 * (L + L.T))
+
+
 def random_graph(P, seed):
     A = np.random.default_rng(seed).uniform(size=(P, P))
     A = 0.5 * (A + A.T)

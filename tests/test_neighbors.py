@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from subseg.neighbors import (AdmmParams, neighbor_objective,
                               nsi_dissimilarity_rows, proximity_weights,
                               search_area,
                               solve_all_neighbors, solve_sparse_neighbors,
-                              weight_matrix)
+                              symmetrize, weight_matrix)
 from subseg.projection import GlobalSubspace, pca_project
 from subseg.synthcam import SceneConfig, make_scene
 
@@ -309,6 +311,76 @@ def test_solver_matches_reference_iterates():
     assert len(frozen) > 1
     assert any(s.stalled for s in sol.stats)
     assert any(not s.converged and not s.stalled for s in sol.stats)
+
+
+def test_row_result_independent_of_batch_and_block():
+    """A row solved inside the whole batch, in a full or in the partial
+    last block, gives the same bits as the row solved alone: coefficients,
+    iterations, flags and both residual norms."""
+    W, _ = make_scene(SceneConfig(points_per_motion=(301, 300), seed=3))
+    G = pca_project(W, 5)
+    size = 20
+    block = nb._BLOCK_ENTRIES // size
+    P = G.points
+    assert block < P < 2 * block and P % 8 != 0
+    sol = solve_all_neighbors(G, size=size)
+    # capped rows around the block boundary and at the end, and every row
+    # that converges, in either block
+    converged = np.flatnonzero(sol.stats.converged)
+    assert converged.min() < block <= converged.max()
+    rows = np.union1d(np.r_[0:block:53, block - 2:block + 3, P - 9:P],
+                      converged)
+    for i in rows:
+        c, stats = solve_sparse_neighbors(sol.X[i, sol.candidates[i]])
+        assert np.array_equal(sol.C[i, sol.candidates[i]], c)
+        assert sol.stats[i].tolist() == stats.tolist(), i
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rho", 0.0), ("rho", np.nan), ("rho", -1.0), ("rho", np.inf),
+    ("tol_abs", -1e-8), ("tol_abs", np.nan), ("tol_rel", np.inf),
+    ("max_iter", -5), ("max_iter", 0), ("max_iter", 2.5),
+    ("max_iter", True)])
+def test_admm_params_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        AdmmParams(**{field: value})
+
+
+def test_admm_params_accept_boundary_values():
+    params = AdmmParams(rho=1e-3, tol_abs=0.0, tol_rel=0.0,
+                        max_iter=np.int64(1))
+    c, stats = solve_sparse_neighbors(np.array([0.1, 0.5, 0.9]), admm=params)
+    assert stats.iterations == 1 and c.sum() == pytest.approx(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.max_iter = -5
+
+
+@pytest.mark.parametrize("P", [1, 255, 256, 257, 600])
+def test_symmetrize_matches_whole_matrix_expression(P):
+    M = np.random.default_rng(P).normal(size=(P, P))
+    # an overflowing and a subnormal pair pin the order: add, then halve
+    M[0, -1] = M[-1, 0] = 1.5e308
+    M[P // 2, 0] = M[0, P // 2] = 5e-324
+    with np.errstate(over="ignore"):
+        want = 0.5 * (M + M.T)
+        for source in (M, np.asfortranarray(M)):
+            out = np.empty_like(M)
+            assert symmetrize(source, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(out, out.T)
+
+
+def test_nsi_rows_same_bits_for_any_layout():
+    M = np.random.default_rng(2).normal(size=(6, 300))
+    G = M / np.linalg.norm(M, axis=0)
+    wide = np.zeros((6, 600))
+    wide[:, ::2] = G
+    want_sim, want_X = nsi_dissimilarity_rows(GlobalSubspace(G, 6))
+    assert np.array_equal(want_sim, want_sim.T)
+    for data in (np.asfortranarray(G), wide[:, ::2]):
+        sim, X = nsi_dissimilarity_rows(GlobalSubspace(data, 6))
+        assert np.array_equal(sim, want_sim)
+        assert np.array_equal(X, want_X)
 
 
 def test_solution_carries_distance_matrix():
