@@ -27,24 +27,27 @@ off = ~np.eye(len(labels), dtype=bool)
 print(f"NSI distance, within-motion mean {X[same & off].mean():.3f}, "
       f"cross-motion mean {X[~same].mean():.3f}")
 
-# Solve every row; inspect sparsity and solver health
+# Solve every row; inspect sparsity and solver health.  C is sparse: it
+# stores each row's 20 candidates; a dense copy is fine at this size
 sol = solve_all_neighbors(G, size=20, lam=0.07)
-support_sizes = (sol.C != 0).sum(axis=1)
+C = sol.C.toarray()
+support_sizes = (C != 0).sum(axis=1)
 iters = sol.stats.iterations
 print(f"support sizes: min {support_sizes.min()}, "
       f"median {int(np.median(support_sizes))}, max {support_sizes.max()}")
 print(f"ADMM iterations: median {int(np.median(iters))}, max {iters.max()}")
 print(f"affine constraint worst error "
-      f"{np.abs(sol.C.sum(axis=1) - 1).max():.1e}")
+      f"{np.abs(C.sum(axis=1) - 1).max():.1e}")
 
 # How pure are the selections?  Count neighbors that share the true label
 purity = np.array([
-    np.mean(labels[np.flatnonzero(sol.C[i])] == labels[i])
+    np.mean(labels[np.flatnonzero(C[i])] == labels[i])
     for i in range(len(labels))])
 print(f"neighbor purity: mean {purity.mean():.3f}, "
       f"rows fully pure {int((purity == 1).sum())}/{len(labels)}")
 
-# Weight matrix: coefficients rescaled by inverse distance, rows sum to 1
-Omega = weight_matrix(sol.C, X).Omega
-rows = np.abs(Omega).sum(axis=1)
+# Weight matrix: coefficients rescaled by inverse distance, rows sum to 1.
+# sol.X holds the distances of the stored candidates, aligned with C
+Omega = weight_matrix(sol.C, sol.X).Omega
+rows = abs(Omega).sum(axis=1)
 print(f"weight-matrix rows sum to 1 within {np.abs(rows - 1).max():.1e}")

@@ -33,6 +33,7 @@ from .neighbors import (
     SparseNeighborSolution,
     WeightMatrix,
     nsi_dissimilarity_rows,
+    nsi_distances,
     search_area,
     solve_all_neighbors,
     solve_sparse_neighbors,

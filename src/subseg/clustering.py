@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
@@ -74,6 +74,14 @@ class SegmentConfig:
             raise ValueError("m must be >= 1")
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
+        if not nb.is_integer(self.neighbors):
+            raise ValueError("neighbors must be an integer")
+        if self.neighbors < 1:
+            raise ValueError("neighbors: search area size must be >= 1")
+        if not nb.is_integer(self.restarts) or self.restarts < 1:
+            raise ValueError("restarts must be an integer >= 1")
+        if not 0 <= self.rank_tol < 1:
+            raise ValueError("rank_tol must be >= 0 and < 1")
 
 
 def build_affinity(Omega, E, sigma_e=None, raw_error=False):
@@ -81,52 +89,67 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
 
     The residual enters as exp(-e/sigma_e) so small error (same local
     subspace) means strong connection; the literal absolute-error variant
-    stays available behind ``raw_error`` for comparison.  A is assembled
-    in two P x P buffers and symmetrized tile by tile
-    (``neighbors.symmetrize``).  If some vertex links to every other one
-    the graph is connected; only otherwise are the components counted on
-    a sparse copy of the edge pattern.
+    stays available behind ``raw_error`` for comparison.  E is consumed:
+    B = exp(-E/sigma_e) (or |E|) is formed in E's buffer and |Omega|, coerced
+    to a CSR array (a dense Omega stores its nonzeros), is added at its
+    stored entries.  B is then symmetrized tile by tile
+    (``neighbors.symmetrize``) into A, the one P x P array made.  The
+    automatic sigma_e, the exact median of E's positive entries, is taken
+    by partitioning a copy of those entries inside A's buffer before A is
+    written.  If some vertex links to every other one the graph is
+    connected; only otherwise are the components counted on a sparse copy
+    of the edge pattern.
     """
     if sigma_e is not None and not 0 < sigma_e < np.inf:
         raise ValueError("sigma_e must be > 0 and finite")
-    e = E.data
+    B = E.data
+    A = np.empty(B.shape)
     if raw_error:
-        B = np.abs(e)
+        np.abs(B, out=B)
         sigma_e = None
     else:
         if sigma_e is None:
-            # the exact median, partitioned in place on its own copy
-            positive = e[e > 0]
-            sigma_e = (float(np.median(positive, overwrite_input=True))
-                       if positive.size else 1.0)
-            del positive
-        B = np.divide(e, -sigma_e)
+            # E's positive entries, in row-major order, copied row block
+            # by row block to the front of A's buffer
+            positive = A.reshape(-1)
+            count = 0
+            for block in nb.row_blocks(B.shape[0]):
+                rows = B[block]
+                kept = rows[rows > 0]
+                positive[count:count + kept.size] = kept
+                count += kept.size
+            sigma_e = (float(np.median(positive[:count], overwrite_input=True))
+                       if count else 1.0)
+        np.divide(B, -sigma_e, out=B)
         np.exp(B, out=B)
-    A = np.abs(Omega)
-    B += A
+    weights = csr_array(Omega).tocoo()
+    weights.sum_duplicates()
+    B[weights.row, weights.col] += np.abs(weights.data)
     nb.symmetrize(B, out=A)
     np.fill_diagonal(A, 0.0)
     P = A.shape[0]
     if (np.count_nonzero(A, axis=1) == P - 1).any():
         n_comp = 1
     else:
-        n_comp, _ = connected_components(csr_matrix(A > 0), directed=False)
+        n_comp, _ = connected_components(csr_array(A > 0), directed=False)
     return Affinity(A, int(n_comp), sigma_e)
 
 
 def normalized_laplacian(A):
-    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
+    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}, formed in
+    A's buffer: A is consumed and the returned L is that buffer.
 
-    Isolated vertices get identity rows; eigenvalues lie in [0, 2].  The
-    scaled matrix is made exactly symmetric by ``neighbors.symmetrize``.
+    Isolated vertices get identity rows; eigenvalues lie in [0, 2].  Each
+    entry is scaled as (A_ij * -d_i^{-1/2}) * d_j^{-1/2}, and the scaled
+    matrix is made exactly symmetric in place by ``neighbors.symmetrize``.
     """
     d = A.sum(axis=1)
     inv_sqrt = np.zeros_like(d)
     np.divide(1.0, np.sqrt(d), out=inv_sqrt, where=d > 0)
-    L = np.multiply(A, -inv_sqrt[:, None])
-    L *= inv_sqrt
-    np.fill_diagonal(L, 1.0)
-    return nb.symmetrize(L, out=np.empty_like(L))
+    np.multiply(A, -inv_sqrt[:, None], out=A)
+    A *= inv_sqrt
+    np.fill_diagonal(A, 1.0)
+    return nb.symmetrize(A, out=A)
 
 
 def spectral_embed(L, n):
@@ -186,9 +209,11 @@ def segment(W, config):
     carries per-stage timings, eigenvalues, and solver diagnostics; its
     key set is versioned by ``report["schema"]``.
 
-    Each P x P array is released once the next stage no longer needs it:
-    the solver's C and X once Omega is formed (only the row stats are
-    kept), Omega and E once the affinity is built.
+    Only E and A are P x P: the neighbor stage keeps its NSI distance
+    matrix only for the candidate search, C and Omega are sparse, the
+    affinity is built in E's buffer and symmetrized into A, and the
+    Laplacian overwrites A.  So at most two P x P arrays (plus
+    block-sized scratch) are alive at once.
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")

@@ -16,8 +16,11 @@ any batch and any block.  Its iterates equal those of a plain per-row
 loop bit for bit; only the reported residual norms may differ from
 np.linalg.norm in the last ulp.
 
-The NSI matrix, the affinity and the Laplacian are symmetrized by one
-tiled helper, ``symmetrize``.
+The NSI distance matrix is the stage's only P x P array: the candidate
+search runs on row blocks of it, and it is released once the (P, k)
+candidate distances are gathered.  The coefficients C and the weights
+Omega are sparse, k stored entries per row.  The affinity and the
+Laplacian are symmetrized by one tiled helper, ``symmetrize``.
 """
 
 import numbers
@@ -25,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 _STATS_FIELDS = "iterations,primal_residual,dual_residual,converged,stalled"
@@ -34,8 +38,9 @@ _STATS_FIELDS = "iterations,primal_residual,dual_residual,converged,stalled"
 # a 2 MB per-core L2 cache; the whole P = 3000 batch (7.7 MB) does not.
 _BLOCK_ENTRIES = 10240
 
-# Side of the square tiles ``symmetrize`` works on: the three tiles one
-# step touches (of M, its transposed partner and the output) take 1.5 MB.
+# Side of the square tiles ``symmetrize`` works on: the tile pair one
+# step touches and its scratch tile take 1.5 MB.  Row-block passes over
+# P x P arrays (``row_blocks``) take blocks of about one tile's entries.
 _TILE = 256
 
 
@@ -58,20 +63,31 @@ class AdmmParams:
             raise ValueError("rho must be > 0 and finite")
         if not (0 <= self.tol_abs < np.inf and 0 <= self.tol_rel < np.inf):
             raise ValueError("tol_abs and tol_rel must be >= 0 and finite")
-        if (not isinstance(self.max_iter, numbers.Integral)
-                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+        if not is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
+
+
+def is_integer(value):
+    """Whether ``value`` is an integer (Python or numpy), bool excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
 class SparseNeighborSolution:
-    """Row-stacked sparse coefficients with per-row solve metadata."""
+    """Row-stacked sparse coefficients with per-row solve metadata.
 
-    C: np.ndarray                # (P, P), row i = c_i^T, zero diagonal
+    C stores exactly the k candidates of every row, zero coefficients
+    included, in ascending column order, so ``C.data.reshape(P, k)``,
+    ``candidates`` and ``X`` are aligned entry by entry.  The rows were
+    solved in (distance, index) order, ``np.lexsort((candidates[i],
+    X[i]))``.
+    """
+
+    C: csr_array                 # (P, P), row i = c_i^T, zero diagonal
     candidates: np.ndarray       # (P, k), row i = candidate indices of row i
     stats: np.recarray           # (P,) iterations, primal_residual,
                                  # dual_residual, converged, stalled
-    X: np.ndarray                # (P, P) NSI distances the rows were solved on
+    X: np.ndarray                # (P, k) NSI distances of the candidates
 
     @property
     def stalled_rows(self):
@@ -80,48 +96,68 @@ class SparseNeighborSolution:
 
 @dataclass
 class WeightMatrix:
-    """P x P sparse weight matrix; nonzero rows sum to 1, zero diagonal."""
+    """P x P sparse weight matrix (CSR); nonzero rows sum to 1, zero
+    diagonal.  It stores the entries of the C it was made from."""
 
-    Omega: np.ndarray
+    Omega: csr_array
 
 
-def nsi_dissimilarity_rows(subspace):
-    """All pairwise NSI values and the derived distances X = 1 - NSI.
+def nsi_distances(subspace):
+    """NSI distances X = 1 - clip((G^T G)^2, 0, 1) of all point pairs.
 
-    Returns the pair (sim, X) of P x P arrays; sim is symmetric in [0, 1].
     Small distance means geometrically close, which is what both the
     solver weights and the final weight-matrix normalization require.
-    The Gram product runs on a C-ordered copy of G, so any layout of the
-    subspace data gives the same bits, and the two P x P results are the
-    only P x P arrays made.
+    X is formed in place in the one P x P buffer of the Gram product.
+    That product runs on a C-ordered copy of G as a BLAS rank-k update
+    (syrk), which mirrors one triangle, so X is exactly symmetric and any
+    layout of the subspace data gives the same bits.
     """
     G = np.ascontiguousarray(subspace.data)
     X = np.matmul(G.T, G)
     np.square(X, out=X)
-    sim = symmetrize(X, out=np.empty_like(X))
-    np.clip(sim, 0.0, 1.0, out=sim)
-    np.subtract(1.0, sim, out=X)
-    return sim, X
+    np.clip(X, 0.0, 1.0, out=X)
+    np.subtract(1.0, X, out=X)
+    return X
+
+
+def nsi_dissimilarity_rows(subspace):
+    """The pair (sim, X) of P x P arrays: the NSI values sim = 1 - X, in
+    [0, 1] and symmetric, and the distances X of ``nsi_distances``."""
+    X = nsi_distances(subspace)
+    return np.subtract(1.0, X), X
 
 
 def symmetrize(M, out):
-    """0.5 * (M + M.T) of a square M, written into ``out`` tile by tile.
+    """0.5 * (M + M.T) of a square M, written into ``out`` tile pair by
+    tile pair; ``out`` may be M itself.
 
     Each entry is (M[i, j] + M[j, i]) * 0.5, the same operations as the
     whole-matrix expression, so the result is the same bits and exactly
-    symmetric.  Working on square tiles and their transposed partners
-    keeps the strided reads of M.T in cache.  ``out`` must not overlap M.
-    Returns ``out``.
+    symmetric.  A step reads a tile and its transposed partner, which
+    keeps the strided reads of M.T in cache, and writes both from one
+    scratch tile, so it can overwrite M.  Returns ``out``.
     """
     P = M.shape[0]
+    scratch = np.empty((min(P, _TILE),) * 2)
     for i in range(0, P, _TILE):
         rows = slice(i, i + _TILE)
-        for j in range(0, P, _TILE):
+        for j in range(i, P, _TILE):
             cols = slice(j, j + _TILE)
-            tile = out[rows, cols]
-            np.add(M[rows, cols], M[cols, rows].T, out=tile)
+            upper = M[rows, cols]
+            tile = scratch[:upper.shape[0], :upper.shape[1]]
+            np.add(upper, M[cols, rows].T, out=tile)
             tile *= 0.5
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
     return out
+
+
+def row_blocks(P):
+    """Slices of consecutive rows of a P x P array, each block holding
+    about one tile (``_TILE ** 2`` entries), so that the temporaries of a
+    pass over one block stay cache-sized whatever P is."""
+    step = max(1, _TILE * _TILE // P)
+    return [slice(i, min(i + step, P)) for i in range(0, P, step)]
 
 
 def search_area(x, self_index, size):
@@ -191,23 +227,32 @@ def solve_sparse_neighbors(x, sigma=None, lam=0.07, admm=None):
 def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     """Run the sparse-neighbor solve for every projected trajectory.
 
-    All rows share the candidate-set size, so their solves run as one
-    vectorized batch in which each row freezes at its own convergence.
+    The candidates are searched on row blocks of the NSI distance matrix,
+    which is released once their (P, k) distances are gathered.  All rows
+    share the candidate-set size, so their solves run as one vectorized
+    batch in which each row freezes at its own convergence.  The result
+    is stored in ascending column order (``SparseNeighborSolution``).
     Stalled rows are flagged in the stats and a single summary warning is
     issued, never dropped.
     """
-    X = nsi_dissimilarity_rows(subspace)[1]
+    X = nsi_distances(subspace)
     P = X.shape[0]
     if P < 2:
         raise ValueError("need at least 2 trajectories")
     size = min(size, P - 1)
-    candidates = search_area(X, np.arange(P), size)
-    coeffs, stats = _solve_rows(np.take_along_axis(X, candidates, axis=1),
-                                sigma, lam, admm)
-    C = np.zeros((P, P))
-    np.put_along_axis(C, candidates, coeffs, axis=1)
+    candidates = np.concatenate([
+        search_area(X[rows], np.arange(rows.start, rows.stop), size)
+        for rows in row_blocks(P)])
+    x = np.take_along_axis(X, candidates, axis=1)
+    del X
+    coeffs, stats = _solve_rows(x, sigma, lam, admm)
+    by_column = np.argsort(candidates, axis=1)
+    candidates, x, coeffs = (np.take_along_axis(a, by_column, axis=1)
+                             for a in (candidates, x, coeffs))
+    C = csr_array((coeffs.ravel(), candidates.ravel(),
+                   np.arange(0, P * size + 1, size)), shape=(P, P))
 
-    solution = SparseNeighborSolution(C, candidates, stats, X)
+    solution = SparseNeighborSolution(C, candidates, stats, x)
     if solution.stalled_rows:
         warnings.warn(f"{len(solution.stalled_rows)} row solves stalled "
                       "above tolerance", SolverStall)
@@ -360,21 +405,44 @@ def _admm_block(thresh, H, H_sum, admm):
 def weight_matrix(C, X):
     """Distance-normalized weights omega_ij = (c_ij/X_ij) / sum_t c_it/X_it.
 
-    Only the nonzero coefficients are divided by their distances; every
-    other entry keeps C's zero, which the quotient gives for any non-NaN
+    C is coerced to a CSR array (a dense C stores its nonzeros).  X is
+    either the P x P distance matrix or one distance per stored entry of
+    C in its stored order, such as ``SparseNeighborSolution.X``.  Only the
+    nonzero coefficients are divided by their distances; every other
+    stored entry keeps C's zero, which the quotient gives for any non-NaN
     distance.  Zero distances (coincident points) are clamped to 1e-12 so
-    duplicates get near-total weight instead of a division by zero.  The
-    normalizer is the dense row sum; rows where it vanishes are left zero.
-    The ratios are normalized in place, so Omega, C-ordered whatever the
-    layout of C, is the one P x P array made.
+    duplicates get near-total weight instead of a division by zero.
+    Diagonal entries are zeroed.  Rows whose normalizer vanishes are left
+    zero.  Omega stores the same entries as C.  The normalizer is the sum
+    of the row's dense image, scattered into one zeroed ``row_blocks``
+    block at a time: numpy's pairwise summation groups terms by column
+    position, so only the dense row gives the bits of a dense Omega, and
+    a sum over the stored entries alone can differ from it by a few ulps.
     """
-    ratios = np.array(C, dtype=float, order="C")
-    flat = ratios.reshape(-1)
-    support = np.flatnonzero(flat != 0)
-    flat[support] /= np.maximum(np.take(X, support), 1e-12)
-    np.fill_diagonal(ratios, 0.0)
-    denom = ratios.sum(axis=1, keepdims=True)
-    valid = np.abs(denom) > 1e-12
-    np.divide(ratios, denom, out=ratios, where=valid)
-    ratios[~valid[:, 0]] = 0.0
-    return WeightMatrix(ratios)
+    C = csr_array(C, dtype=float, copy=True)
+    C.sum_duplicates()
+    P = C.shape[0]
+    counts = np.diff(C.indptr)
+    rows = np.repeat(np.arange(P), counts)
+    X = np.asarray(X)
+    dist = X[rows, C.indices] if X.shape == C.shape else X.reshape(-1)
+    if dist.size != C.nnz:
+        raise ValueError("X must be P x P or hold one distance per stored "
+                         "entry of C")
+    ratios = C.data
+    support = np.flatnonzero(ratios != 0)
+    ratios[support] /= np.maximum(dist[support], 1e-12)
+    ratios[C.indices == rows] = 0.0
+    denom = np.empty(P)
+    blocks = row_blocks(P)
+    image = np.zeros((blocks[0].stop, P))
+    for block in blocks:
+        entries = slice(C.indptr[block.start], C.indptr[block.stop])
+        at = (rows[entries] - block.start, C.indices[entries])
+        image[at] = ratios[entries]
+        image[:block.stop - block.start].sum(axis=1, out=denom[block])
+        image[at] = 0.0
+    valid = np.repeat(np.abs(denom) > 1e-12, counts)
+    np.divide(ratios, np.repeat(denom, counts), out=ratios, where=valid)
+    ratios[~valid] = 0.0
+    return WeightMatrix(C)

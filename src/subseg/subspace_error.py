@@ -10,6 +10,7 @@ its local-rank decision.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 DEFAULT_RANK_TOL = 1e-6
 
@@ -51,24 +52,26 @@ def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
     E[i, t] = ||g_t - B_i B_i^T g_t||^2 for every projected point g_t.
 
     With an orthonormal basis the Moore-Penrose inverse is the transpose,
-    so B B^T is the orthogonal projector onto the local subspace.  The
-    members of every row come from one pass over the support of Omega
-    (its diagonal set), and each residual row is formed in one reused
-    m x P buffer.  Returns the ErrorMatrix and the list of LocalSubspace,
-    one per point.
+    so B B^T is the orthogonal projector onto the local subspace.  Omega
+    is coerced to a CSR array (a dense Omega stores its nonzeros); the
+    members of row i are its nonzero columns and i itself, in ascending
+    order, gathered for all rows in one sparse pass.  Each residual row is
+    formed in one reused m x P buffer, so E is the one P x P array made.
+    Returns the ErrorMatrix and the list of LocalSubspace, one per point.
     """
     G = subspace.data
     P = subspace.points
-    support = Omega != 0
-    np.fill_diagonal(support, True)
-    rows, cols = np.nonzero(support)
-    del support
-    bounds = np.searchsorted(rows, np.arange(P + 1))
+    rows, cols = csr_array(Omega).nonzero()
+    diagonal = np.arange(P)
+    support = csr_array((np.ones(rows.size + P, dtype=bool),
+                         (np.append(rows, diagonal), np.append(cols, diagonal))),
+                        shape=(P, P))
+    del rows, cols
     E = np.empty((P, P))
     residual = np.empty_like(G)
     subspaces = []
     for i in range(P):
-        members = cols[bounds[i]:bounds[i + 1]]
+        members = support.indices[support.indptr[i]:support.indptr[i + 1]]
         B, rank = subspace_basis(G[:, members], rank_tol)
         np.subtract(G, B @ (B.T @ G), out=residual)
         np.square(residual, out=residual)

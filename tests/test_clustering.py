@@ -2,12 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import subseg
 from subseg.clustering import (SegmentConfig, build_affinity, kmeans,
                                normalized_laplacian, segment, spectral_embed)
 from subseg.metrics import misclassification
-from subseg.subspace_error import ErrorMatrix
+from subseg.neighbors import solve_all_neighbors, weight_matrix
+from subseg.projection import pca_project
+from subseg.subspace_error import ErrorMatrix, build_error_matrix
 from subseg.synthcam import Labeling, SceneConfig, make_scene
 
 
@@ -34,9 +39,9 @@ def test_affinity_symmetrization_idempotent():
     Omega = 0.5 * (Omega + Omega.T)
     np.fill_diagonal(Omega, 0.0)
     E = ErrorMatrix(np.zeros((5, 5)))
-    A = build_affinity(Omega, E, sigma_e=1.0).A
     B = np.abs(Omega) + np.exp(-E.data)
     np.fill_diagonal(B, 0.0)
+    A = build_affinity(Omega, E, sigma_e=1.0).A
     assert np.array_equal(A, B)
 
 
@@ -354,10 +359,11 @@ def test_report_schema_pins_every_key(projector, extra):
                                        "active_fraction"}
 
 
-def test_segment_peak_memory_below_five_dense_arrays():
-    """segment() drops C and X before the error stage and Omega and E
-    before the Laplacian, so fewer than five P x P float arrays are ever
-    allocated at once."""
+def test_segment_peak_memory_at_most_two_and_a_half_dense_arrays():
+    """Only E and A are P x P: the NSI distances are freed before the
+    solve, C and Omega are sparse, the affinity reuses E's buffer and the
+    Laplacian A's, so at most 2.5 P x P float arrays are allocated at
+    once."""
     P = 900
     W, _ = make_scene(SceneConfig(n_motions=3, points_per_motion=P // 3,
                                   seed=1))
@@ -367,7 +373,52 @@ def test_segment_peak_memory_below_five_dense_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * P * P * 8
+    assert peak <= 2.5 * P * P * 8
+
+
+@st.composite
+def residual_matrices(draw):
+    """Square matrices over a few values, so that ties are common; zeros
+    of both signs are never positive."""
+    P = draw(st.integers(1, 12) | st.integers(257, 300))
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-3, 0.5, 1.0, 3.0])
+                         | st.floats(1e-3, 10.0), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).choice(pool, size=(P, P))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(residual_matrices())
+@example(np.zeros((3, 3)))
+@example(np.array([[-0.0, 0.0], [2.5, -0.0]]))
+@example(np.array([[0.0, 1.0], [2.0, 2.0]]))
+def test_sigma_e_is_exact_median_of_positive_residuals(E):
+    """The median taken inside A's buffer is np.median(E[E > 0]) bit for
+    bit, and 1.0 when no entry is positive; multi-block sizes included."""
+    positive = E[E > 0]
+    want = np.float64(np.median(positive) if positive.size else 1.0)
+    got = build_affinity(np.zeros(E.shape), ErrorMatrix(E.copy())).sigma_e
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_dense_and_csr_omega_give_same_error_affinity_and_laplacian():
+    W, _ = make_scene(SceneConfig(n_motions=3, points_per_motion=100,
+                                  seed=2))
+    G = pca_project(W, 5)
+    sol = solve_all_neighbors(G)
+    Omega = weight_matrix(sol.C, sol.X).Omega
+    assert isinstance(Omega, csr_array)
+    results = []
+    for weights in (Omega, Omega.toarray()):
+        E, _ = build_error_matrix(G, weights)
+        E_bits = E.data.copy()
+        affinity = build_affinity(weights, E)
+        A = affinity.A.copy()
+        results.append((E_bits, affinity.sigma_e, A,
+                        normalized_laplacian(affinity.A)))
+    for got, want in zip(*results):
+        assert np.array_equal(np.float64(got).view(np.int64),
+                              np.float64(want).view(np.int64))
 
 
 def test_segment_label_permutation_metamorphic():
@@ -392,6 +443,25 @@ def test_segment_config_validation():
         SegmentConfig(n=2, projector="nope")
     with pytest.raises(ValueError, match="m must be >= 1"):
         SegmentConfig(n=2, m=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("neighbors", 2.5), ("neighbors", 0), ("neighbors", -3),
+    ("neighbors", True), ("neighbors", "20"),
+    ("restarts", -1), ("restarts", 0), ("restarts", 2.0),
+    ("restarts", False),
+    ("rank_tol", np.nan), ("rank_tol", -1.0), ("rank_tol", 1.0),
+    ("rank_tol", np.inf), ("rank_tol", -np.inf)])
+def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
+    with pytest.raises(ValueError, match=field):
+        SegmentConfig(n=2, **{field: value})
+
+
+def test_segment_config_accepts_boundary_counts_and_rank_tol():
+    config = SegmentConfig(n=2, neighbors=np.int64(1), restarts=1,
+                           rank_tol=0.0)
+    assert (config.neighbors, config.restarts, config.rank_tol) == (1, 1, 0.0)
+    SegmentConfig(n=2, rank_tol=np.nextafter(1.0, 0.0))
 
 
 def test_segment_rejects_more_motions_than_points():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
@@ -259,14 +260,24 @@ def test_solver_deterministic():
     assert np.array_equal(c1, c2)
 
 
+def in_search_order(sol):
+    """Each row's candidates, their distances and their coefficients in
+    the (distance, index) order the row was solved in."""
+    P, k = sol.candidates.shape
+    order = np.lexsort((sol.candidates, sol.X), axis=-1)
+    return [np.take_along_axis(a, order, axis=1)
+            for a in (sol.candidates, sol.X, sol.C.data.reshape(P, k))]
+
+
 def test_batch_matches_per_row():
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
     batch = solve_all_neighbors(G, size=12)
     _, X = nsi_dissimilarity_rows(G)
-    for i, cand in enumerate(batch.candidates):
+    candidates, _, coeffs = in_search_order(batch)
+    for i, cand in enumerate(candidates):
         c, stats = solve_sparse_neighbors(X[i, cand])
-        assert np.array_equal(batch.C[i, cand], c)
+        assert np.array_equal(coeffs[i], c)
         assert batch.stats[i].iterations == stats.iterations
     # rows freeze at different iterations, so the check covers freezing
     assert len({s.iterations for s in batch.stats}) > 1
@@ -296,12 +307,13 @@ def test_solver_matches_reference_iterates():
     with pytest.warns(nb.SolverStall):
         sol = solve_all_neighbors(G, size=10, admm=admm)
     _, X = nsi_dissimilarity_rows(G)
+    candidates, _, coeffs = in_search_order(sol)
     frozen = set()
-    for i, cand in enumerate(sol.candidates):
+    for i, cand in enumerate(candidates):
         c, it, r, s, converged, stalled = reference_admm(X[i, cand], 0.07,
                                                          admm)
         stats = sol.stats[i]
-        assert np.array_equal(sol.C[i, cand], c)
+        assert np.array_equal(coeffs[i], c)
         assert stats.iterations == it
         assert (stats.converged, stats.stalled) == (converged, stalled)
         assert stats.primal_residual == pytest.approx(r, rel=1e-12, abs=0)
@@ -330,9 +342,10 @@ def test_row_result_independent_of_batch_and_block():
     assert converged.min() < block <= converged.max()
     rows = np.union1d(np.r_[0:block:53, block - 2:block + 3, P - 9:P],
                       converged)
+    _, x, coeffs = in_search_order(sol)
     for i in rows:
-        c, stats = solve_sparse_neighbors(sol.X[i, sol.candidates[i]])
-        assert np.array_equal(sol.C[i, sol.candidates[i]], c)
+        c, stats = solve_sparse_neighbors(x[i])
+        assert np.array_equal(coeffs[i], c)
         assert sol.stats[i].tolist() == stats.tolist(), i
 
 
@@ -383,22 +396,30 @@ def test_nsi_rows_same_bits_for_any_layout():
         assert np.array_equal(X, want_X)
 
 
-def test_solution_carries_distance_matrix():
+def test_solution_carries_candidate_distances():
+    """C stores every row's k candidates in ascending column order, and
+    candidates and X are aligned with C's stored entries."""
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
-    assert np.array_equal(solve_all_neighbors(G, size=12).X,
-                          nsi_dissimilarity_rows(G)[1])
+    sol = solve_all_neighbors(G, size=12)
+    P = G.points
+    assert isinstance(sol.C, csr_array) and sol.C.has_canonical_format
+    assert np.array_equal(sol.C.indptr, np.arange(0, 12 * P + 1, 12))
+    assert np.array_equal(sol.C.indices.reshape(P, 12), sol.candidates)
+    assert np.all(np.diff(sol.candidates, axis=1) > 0)
+    assert np.array_equal(sol.X, np.take_along_axis(
+        nsi_dissimilarity_rows(G)[1], sol.candidates, axis=1))
 
 
 def test_segment_builds_nsi_matrix_once(monkeypatch):
     calls = []
-    original = nb.nsi_dissimilarity_rows
+    original = nb.nsi_distances
 
     def counting(subspace):
         calls.append(subspace)
         return original(subspace)
 
-    monkeypatch.setattr(nb, "nsi_dissimilarity_rows", counting)
+    monkeypatch.setattr(nb, "nsi_distances", counting)
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     segment(W, SegmentConfig(n=2))
     assert len(calls) == 1
@@ -410,18 +431,19 @@ def test_solution_contract():
     sol = solve_all_neighbors(G, size=20)
     P = G.points
     _, X = nsi_dissimilarity_rows(G)
+    C = sol.C.toarray()
     for i in range(P):
-        assert abs(sol.C[i].sum() - 1.0) < 1e-8
-        assert sol.C[i, i] == 0.0
-        support = set(np.flatnonzero(sol.C[i]).tolist())
+        assert abs(C[i].sum() - 1.0) < 1e-8
+        assert C[i, i] == 0.0
+        support = set(np.flatnonzero(C[i]).tolist())
         assert support <= set(sol.candidates[i].tolist())
-        assert sol.candidates[i].tolist() == search_area(X[i], i, 20).tolist()
+        assert sol.candidates[i].tolist() == sorted(search_area(X[i], i, 20))
 
 
 def test_weight_matrix_one_hot():
     C = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     X = np.full((3, 3), 0.5)
-    Om = weight_matrix(C, X).Omega
+    Om = weight_matrix(C, X).Omega.toarray()
     assert Om[0].tolist() == [0.0, 1.0, 0.0]
     assert np.all(np.diag(Om) == 0)
 
@@ -429,7 +451,7 @@ def test_weight_matrix_one_hot():
 def test_weight_matrix_uniform_pair():
     C = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     X = np.full((3, 3), 0.3)
-    Om = weight_matrix(C, X).Omega
+    Om = weight_matrix(C, X).Omega.toarray()
     assert np.allclose(Om[0], [0.0, 0.5, 0.5])
 
 
@@ -441,7 +463,7 @@ def test_weight_matrix_rows_sum_to_one():
     C = C / np.where(C.sum(axis=1, keepdims=True) == 0, 1.0,
                      C.sum(axis=1, keepdims=True))
     X = np.abs(rng.uniform(0.1, 1.0, size=(P, P)))
-    Om = weight_matrix(C, X).Omega
+    Om = weight_matrix(C, X).Omega.toarray()
     for i in range(P):
         if np.any(Om[i] != 0):
             assert abs(Om[i].sum() - 1.0) < 1e-8
@@ -451,7 +473,7 @@ def test_weight_matrix_rows_sum_to_one():
 def test_weight_matrix_zero_distance_clamped():
     C = np.array([[0.0, 0.9, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     X = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    Om = weight_matrix(C, X).Omega
+    Om = weight_matrix(C, X).Omega.toarray()
     # the coincident point draws essentially all the weight
     assert Om[0, 1] == pytest.approx(1.0, abs=1e-9)
 
@@ -477,16 +499,47 @@ def test_weight_matrix_matches_dense_form():
     C[6, ::2] = -0.0                    # ... with signed zeros
     X = rng.uniform(0.0, 1.0, size=(P, P))
     X[1, :] = 0.0                       # coincident points
-    # Omega is C-ordered, so a transposed input is summed as its copy is
+    # Omega's rows are summed as dense rows, so a transposed input is
+    # summed as its copy is
     cases = [(C, X), (C, np.zeros((P, P))), (np.zeros((P, P)), X),
              (C.T, X.T)]
     for C_case, X_case in cases:
         got = weight_matrix(C_case, X_case).Omega
         want = weight_matrix_dense(np.ascontiguousarray(C_case),
                                    np.ascontiguousarray(X_case))
-        assert got.flags.c_contiguous
+        assert isinstance(got, csr_array)
+        assert np.array_equal(got.toarray(), want)
+        # every entry Omega stores has the dense form's sign bit; the
+        # entries it does not store are zeros of either sign there
+        rows = np.repeat(np.arange(P), np.diff(got.indptr))
+        assert np.array_equal(np.signbit(got.data),
+                              np.signbit(want[rows, got.indices]))
+
+
+def test_weight_matrix_of_solution_keeps_support_and_dense_bits():
+    """On a solver result, with the candidate distances or the full NSI
+    matrix, Omega stores C's entries, has the dense form's nonzeros, and
+    every row has the dense form's bits.  P > 256 makes numpy's pairwise
+    row sum split each dense row, which a sum over the stored entries
+    does not reproduce."""
+    W, _ = make_scene(SceneConfig(seed=3, points_per_motion=(150, 151)))
+    G = pca_project(W, 5)
+    sol = solve_all_neighbors(G, size=20)
+    _, X = nsi_dissimilarity_rows(G)
+    want = weight_matrix_dense(sol.C.toarray(), X)
+    for distances in (sol.X, X):
+        Omega = weight_matrix(sol.C, distances).Omega
+        assert np.array_equal(Omega.indptr, sol.C.indptr)
+        assert np.array_equal(Omega.indices, sol.C.indices)
+        got = Omega.toarray()
+        assert np.array_equal(got != 0, want != 0)
         assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_weight_matrix_rejects_misaligned_distances():
+    C = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="one distance per stored entry"):
+        weight_matrix(C, np.full((3, 2), 0.5))
 
 
 def test_solver_rejects_bad_inputs():
