@@ -19,6 +19,7 @@ EXIT_PIPELINE = 4
 
 PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
+_WIDTH, _HEIGHT = 640, 480        # SVG canvas, pixels
 
 
 def main(argv=None):
@@ -196,7 +197,7 @@ def cmd_report(args):
     return _write([(args.out, render_svg(xs, ys, labels))])
 
 
-def render_svg(xs, ys, labels, width=640, height=480):
+def render_svg(xs, ys, labels):
     """Scatter of first-frame feature positions, one color per cluster,
     with a cluster-size legend."""
     xs = np.asarray(xs, dtype=float)
@@ -205,13 +206,13 @@ def render_svg(xs, ys, labels, width=640, height=480):
     pad = 40.0
     span_x = max(xs.max() - xs.min(), 1e-9)
     span_y = max(ys.max() - ys.min(), 1e-9)
-    px = pad + (xs - xs.min()) / span_x * (width - 2 * pad)
-    py = pad + (ys - ys.min()) / span_y * (height - 2 * pad)
+    px = pad + (xs - xs.min()) / span_x * (_WIDTH - 2 * pad)
+    py = pad + (ys - ys.min()) / span_y * (_HEIGHT - 2 * pad)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+             f'width="{_WIDTH}" height="{_HEIGHT}" '
+             f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     for x, y, lab in zip(px, py, labels):
         color = PALETTE[lab % len(PALETTE)]
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" '
@@ -220,8 +221,8 @@ def render_svg(xs, ys, labels, width=640, height=480):
         color = PALETTE[lab % len(PALETTE)]
         count = int(np.sum(labels == lab))
         y = 20 + 18 * rank
-        parts.append(f'<circle cx="{width - 130}" cy="{y}" r="5" fill="{color}"/>')
-        parts.append(f'<text x="{width - 118}" y="{y + 4}" font-size="13" '
+        parts.append(f'<circle cx="{_WIDTH - 130}" cy="{y}" r="5" fill="{color}"/>')
+        parts.append(f'<text x="{_WIDTH - 118}" y="{y + 4}" font-size="13" '
                      f'font-family="sans-serif">cluster {lab}: {count}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

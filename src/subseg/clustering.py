@@ -19,6 +19,8 @@ from . import projection as pj
 from . import subspace_error as se
 from .synthcam import Labeling
 
+_LLOYD_MAX_ITER = 300       # Lloyd iterations per k-means restart
+
 
 @dataclass
 class Affinity:
@@ -49,8 +51,9 @@ class SpectralEmbedding:
 
 @dataclass
 class SegmentConfig:
-    """All pipeline knobs; defaults follow the method's reference settings
-    (m=5, gamma=0.01, mu_j=1/j, 20-candidate search area)."""
+    """Pipeline settings, checked before any stage runs; defaults follow
+    the method's reference settings (m=5, gamma=0.01, mu_j=1/j,
+    neighbors=20)."""
 
     n: int
     projector: str = "spca"
@@ -68,20 +71,25 @@ class SegmentConfig:
     admm: nb.AdmmParams = field(default_factory=nb.AdmmParams)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name in ("n", "m", "restarts"):
+            if not nb.is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
         if not nb.is_integer(self.neighbors):
             raise ValueError("neighbors must be an integer")
         if self.neighbors < 1:
             raise ValueError("neighbors: search area size must be >= 1")
-        if not nb.is_integer(self.restarts) or self.restarts < 1:
-            raise ValueError("restarts must be an integer >= 1")
         if not 0 <= self.rank_tol < 1:
             raise ValueError("rank_tol must be >= 0 and < 1")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be >= 0 and finite")
+        for name in ("sigma", "sigma_e"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
 
 
 def build_affinity(Omega, E, sigma_e=None, raw_error=False):
@@ -191,11 +199,13 @@ def kmeans(X, n, restarts=10, seed=0):
     """
     X = np.asarray(X, dtype=float)
     P = X.shape[0]
-    if n > P:
-        raise ValueError("n must be <= number of points")
+    if not 1 <= n <= P:
+        raise ValueError("n must be >= 1 and <= number of points")
+    if not nb.is_integer(restarts) or restarts < 1:
+        raise ValueError("restarts must be an integer >= 1")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         centers = _kmeanspp_init(X, n, rng)
         labels, inertia = _lloyd(X, centers, n)
         if inertia < best_inertia:
@@ -289,9 +299,9 @@ def _kmeanspp_init(X, n, rng):
     return centers
 
 
-def _lloyd(X, centers, n, max_iter=300):
+def _lloyd(X, centers, n):
     labels = None
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         sq = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(sq, axis=1)
         for k in range(n):

@@ -32,6 +32,7 @@ from scipy.sparse import csr_array
 
 
 _STATS_FIELDS = "iterations,primal_residual,dual_residual,converged,stalled"
+_TOL_ABS, _TOL_REL = 1e-8, 1e-6    # ADMM stopping tolerances at rho = 1
 
 # Entries per (rows, k) buffer of one ADMM block: 512 rows at k = 20.  A
 # block's sixteen such buffers then take about 1.3 MB, which stays inside
@@ -50,19 +51,12 @@ class SolverStall(UserWarning):
 
 @dataclass(frozen=True)
 class AdmmParams:
-    """Penalty, stopping tolerances and iteration cap of the ADMM solve,
+    """Iteration cap of the ADMM solve (rho = 1, tolerances fixed),
     checked at construction and immutable after it."""
 
-    rho: float = 1.0
-    tol_abs: float = 1e-8
-    tol_rel: float = 1e-6
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not 0 < self.rho < np.inf:
-            raise ValueError("rho must be > 0 and finite")
-        if not (0 <= self.tol_abs < np.inf and 0 <= self.tol_rel < np.inf):
-            raise ValueError("tol_abs and tol_rel must be >= 0 and finite")
         if not is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
 
@@ -262,22 +256,14 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
 def _solve_rows(x_all, sigma, lam, admm):
     """ADMM over stacked rows of candidate distances, shape (rows, k).
 
-    The quadratic step solves its KKT system in closed form (diagonal plus
-    rank-one), the L1 step is soft-thresholding with per-entry thresholds
-    lam*q/rho, and a scaled dual variable tracks the splitting constraint.
-    The stopping test is the primal/dual residual test of Boyd et al.
-    (2011), section 3.3.1.
-
+    The penalty is rho = 1, so the quadratic step solves its KKT system
+    diag(x^2 + 1) in closed form (diagonal plus rank-one), the L1 step is
+    soft-thresholding with per-entry thresholds lam*q, and the dual
+    residual is unscaled.  The stopping test is the primal/dual residual
+    test of Boyd et al. (2011), section 3.3.1, with tolerances
+    ``_TOL_ABS`` and ``_TOL_REL``; ``admm`` sets only the iteration cap.
     The thresholds and the KKT diagonal are computed once for all rows;
-    the iteration then runs block by block (``_admm_block``), each block
-    ``_BLOCK_ENTRIES // k`` rows, so that at k = 20 a block's buffers
-    stay in a per-core L2 cache.  Every operation of the loop, the
-    residual norms included, acts on each row alone, so a row's iterates,
-    iteration count and residuals do not depend on its block or on the
-    other rows: they equal those of the same row solved as a batch of
-    one.  The iterates are exactly those of the textbook per-row loop;
-    the residual norms are summed in another order, so they can differ
-    from np.linalg.norm in the last ulp.
+    the loop then runs block by block (``_admm_block``).
 
     Returns the coefficients and a record array of row stats: iterations,
     primal_residual, dual_residual, converged (the stopping test passed)
@@ -297,13 +283,13 @@ def _solve_rows(x_all, sigma, lam, admm):
     if sigma is None:
         sigma = x_all.mean(axis=1, keepdims=True)
         sigma[sigma == 0] = 1.0
-    thresh = lam * proximity_weights(x_all, sigma) / admm.rho
-    H = 1.0 / (x_all ** 2 + admm.rho)
+    thresh = lam * proximity_weights(x_all, sigma)
+    H = 1.0 / (x_all ** 2 + 1.0)
     H_sum = H.sum(axis=1, keepdims=True)
 
     rows = max(1, _BLOCK_ENTRIES // k)
     blocks = [_admm_block(thresh[i:i + rows], H[i:i + rows],
-                          H_sum[i:i + rows], admm)
+                          H_sum[i:i + rows], admm.max_iter)
               for i in range(0, R, rows)]
     c_out, z_out, r_out, s_out, iterations, active = map(np.concatenate,
                                                           zip(*blocks))
@@ -319,16 +305,16 @@ def _solve_rows(x_all, sigma, lam, admm):
     return c_out, stats
 
 
-def _admm_block(thresh, H, H_sum, admm):
+def _admm_block(thresh, H, H_sum, max_iter):
     """Run the ADMM loop of ``_solve_rows`` on one block of rows.
 
     Returns each row's c, z, primal and dual residuals and iteration count,
     recorded at the iteration it converges, and whether it is still active
-    (not converged) at the cap; the loop ends once every row has converged.
-    Every update is written into buffers allocated before the loop.  The
-    iterate c, z, u and the residual vectors c - z and z - z_prev live in
-    two (5, rows, k) stacks that swap roles each iteration, so the five
-    norms of every row take one per-row contraction.
+    (not converged) after ``max_iter`` iterations; the loop ends once every
+    row has converged.  Every update is written into buffers allocated
+    before the loop.  The iterate c, z, u and the residual vectors c - z
+    and z - z_prev live in two (5, rows, k) stacks that swap roles each
+    iteration, so the five norms of every row take one per-row contraction.
     """
     R, k = H.shape
     c_out = np.empty((R, k))
@@ -348,8 +334,7 @@ def _admm_block(thresh, H, H_sum, admm):
     c_norm, z_norm, u_norm, r, s = norms
     eps_pri, eps_dual = np.empty((2, R))
     done, passed = np.empty((2, R), dtype=bool)
-    eps_abs = np.sqrt(k) * admm.tol_abs
-    dual_rel = admm.tol_rel * admm.rho
+    eps_abs = np.sqrt(k) * _TOL_ABS
 
     def record(rows, it):
         c_out[rows] = cur[0, rows]
@@ -358,12 +343,11 @@ def _admm_block(thresh, H, H_sum, admm):
         s_out[rows] = s[rows]
         iterations[rows] = it
 
-    for it in range(1, admm.max_iter + 1):
+    for it in range(1, max_iter + 1):
         z, u = cur[1], cur[2]
         c_new, z_new, u_new = nxt[0], nxt[1], nxt[2]
-        # w = H*(rho*(z - u)); c = w - nu*H with nu = (1^T w - 1)/1^T H
+        # w = H*(z - u); c = w - nu*H with nu = (1^T w - 1)/1^T H
         np.subtract(z, u, out=w)
-        np.multiply(admm.rho, w, out=w)
         np.multiply(H, w, out=w)
         w.sum(axis=1, keepdims=True, out=nu)
         np.subtract(nu, 1.0, out=nu)
@@ -381,11 +365,10 @@ def _admm_block(thresh, H, H_sum, admm):
 
         np.einsum("ijk,ijk->ij", nxt, nxt, out=norms)
         np.sqrt(norms, out=norms)
-        np.multiply(admm.rho, s, out=s)
         np.maximum(c_norm, z_norm, out=eps_pri)
-        np.multiply(admm.tol_rel, eps_pri, out=eps_pri)
+        np.multiply(_TOL_REL, eps_pri, out=eps_pri)
         np.add(eps_abs, eps_pri, out=eps_pri)
-        np.multiply(dual_rel, u_norm, out=eps_dual)
+        np.multiply(_TOL_REL, u_norm, out=eps_dual)
         np.add(eps_abs, eps_dual, out=eps_dual)
         cur, nxt = nxt, cur
         # a NaN residual compares false, so its row stays active

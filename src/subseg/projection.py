@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The power iteration stops at a relative gain below _TOL or at _MAX_ITER
+_TOL = 1e-8
+_MAX_ITER = 500
+
 
 class RankDeficient(UserWarning):
     """Input matrix has fewer nonzero singular values than requested."""
@@ -27,7 +31,7 @@ class ZeroColumn(ValueError):
 
 @dataclass
 class SpcaParams:
-    """Block sparse PCA parameters.
+    """Block sparse PCA parameters; the stopping rule is fixed.
 
     ``gamma`` and ``mu`` broadcast from scalars to length m.  The mu values
     must be positive and pairwise distinct; gamma feasibility against the
@@ -38,8 +42,6 @@ class SpcaParams:
     m: int
     gamma: np.ndarray = 0.01
     mu: np.ndarray = None
-    tol: float = 1e-8
-    max_iter: int = 500
 
     def __post_init__(self):
         if self.m < 1:
@@ -121,6 +123,7 @@ def gpower_block(W, params):
     Iterates Y <- Polar(G(Y)) where column j of G sums the gradient
     contributions 2 mu_j^2 (w_i^T y_j) w_i over active samples; the
     thresholded-square objective is nondecreasing across iterations.
+    ``_MAX_ITER`` iterations without convergence raise DidNotConverge.
     """
     A = W.data
     if not np.any(A):
@@ -135,7 +138,7 @@ def gpower_block(W, params):
     history = []
     converged = False
     iterations = 0
-    for iterations in range(1, params.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         S = A @ Y                           # (2F, m), entries w_i^T y_j
         vals = (mu * S) ** 2
         active = vals > gamma
@@ -151,7 +154,7 @@ def gpower_block(W, params):
 
         if len(history) > 1:
             gain = history[-1] - history[-2]
-            if gain < params.tol * max(abs(history[-2]), 1.0):
+            if gain < _TOL * max(abs(history[-2]), 1.0):
                 converged = True
                 break
 

@@ -446,22 +446,37 @@ def test_segment_config_validation():
 
 
 @pytest.mark.parametrize("field,value", [
+    ("n", 2.5), ("n", True), ("m", 2.5), ("m", True),
     ("neighbors", 2.5), ("neighbors", 0), ("neighbors", -3),
     ("neighbors", True), ("neighbors", "20"),
     ("restarts", -1), ("restarts", 0), ("restarts", 2.0),
     ("restarts", False),
     ("rank_tol", np.nan), ("rank_tol", -1.0), ("rank_tol", 1.0),
-    ("rank_tol", np.inf), ("rank_tol", -np.inf)])
+    ("rank_tol", np.inf), ("rank_tol", -np.inf),
+    ("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf),
+    ("sigma_e", 0.0), ("sigma_e", -1.0), ("sigma_e", np.nan),
+    ("sigma_e", np.inf),
+    ("lam", -1.0), ("lam", np.nan), ("lam", np.inf)])
 def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
+    # the messages name "lambda" for lam, which the pattern "lam" matches
     with pytest.raises(ValueError, match=field):
-        SegmentConfig(n=2, **{field: value})
+        SegmentConfig(**{"n": 2, field: value})
 
 
 def test_segment_config_accepts_boundary_counts_and_rank_tol():
-    config = SegmentConfig(n=2, neighbors=np.int64(1), restarts=1,
-                           rank_tol=0.0)
+    config = SegmentConfig(n=np.int64(2), m=np.int64(1),
+                           neighbors=np.int64(1), restarts=1, rank_tol=0.0,
+                           lam=0.0, sigma=1e-300, sigma_e=1e-300)
     assert (config.neighbors, config.restarts, config.rank_tol) == (1, 1, 0.0)
     SegmentConfig(n=2, rank_tol=np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("n,restarts", [(0, 10), (-1, 10), (2, 0), (2, -3),
+                                        (2, 2.5), (2, True)])
+def test_kmeans_rejects_bad_counts(n, restarts):
+    X = np.random.default_rng(8).normal(size=(6, 2))
+    with pytest.raises(ValueError, match="n must" if n < 1 else "restarts"):
+        kmeans(X, n, restarts)
 
 
 def test_segment_rejects_more_motions_than_points():

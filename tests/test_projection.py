@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from subseg.projection import (RankDeficient, SparseLoadings, SpcaParams,
-                               ZeroColumn, assemble_global, extract_pattern,
-                               gpower_block, pca_project)
+from subseg import projection as pj
+from subseg.projection import (DidNotConverge, RankDeficient, SparseLoadings,
+                               SpcaParams, ZeroColumn, assemble_global,
+                               extract_pattern, gpower_block, pca_project)
 from subseg.synthcam import SceneConfig, TrajectoryMatrix, make_scene
 
 from test_neighbors import nsi
@@ -77,6 +78,15 @@ def test_gpower_objective_monotone_and_orthonormal():
     diffs = np.diff(out.objective)
     assert np.all(diffs >= -1e-9 * max(out.objective))
     assert np.max(np.abs(out.Y.T @ out.Y - np.eye(3))) < 1e-10
+
+
+def test_gpower_warns_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(pj, "_MAX_ITER", 1)
+    W = random_trajectory(np.random.default_rng(1), 30, 50)
+    with pytest.warns(DidNotConverge, match="1 iterations"):
+        out = gpower_block(W, SpcaParams(m=3, gamma=0.05))
+    assert out.converged is False
+    assert out.iterations == 1
 
 
 def test_gpower_near_bound_gamma_keeps_at_most_one_term():
