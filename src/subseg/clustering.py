@@ -71,13 +71,18 @@ class SegmentConfig:
     admm: nb.AdmmParams = field(default_factory=nb.AdmmParams)
 
     def __post_init__(self):
-        for name in ("n", "m", "restarts"):
+        for name in ("n", "restarts"):
             if not nb.is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not nb.is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
+        # SpcaParams owns the m, gamma and mu rules; they hold under
+        # either projector
+        pj.SpcaParams(self.m, gamma=self.gamma, mu=self.mu)
         if not nb.is_integer(self.neighbors):
             raise ValueError("neighbors must be an integer")
         if self.neighbors < 1:
@@ -147,17 +152,18 @@ def normalized_laplacian(A):
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}, formed in
     A's buffer: A is consumed and the returned L is that buffer.
 
-    Isolated vertices get identity rows; eigenvalues lie in [0, 2].  Each
-    entry is scaled as (A_ij * -d_i^{-1/2}) * d_j^{-1/2}, and the scaled
-    matrix is made exactly symmetric in place by ``neighbors.symmetrize``.
+    A must be symmetric, as ``build_affinity`` returns it.  Isolated
+    vertices get identity rows; eigenvalues lie in [0, 2].  Each entry is
+    scaled as A_ij * (-d_i^{-1/2} * d_j^{-1/2}), one ``row_blocks`` block
+    at a time, so L is exactly symmetric.
     """
     d = A.sum(axis=1)
     inv_sqrt = np.zeros_like(d)
     np.divide(1.0, np.sqrt(d), out=inv_sqrt, where=d > 0)
-    np.multiply(A, -inv_sqrt[:, None], out=A)
-    A *= inv_sqrt
+    for block in nb.row_blocks(A.shape[0]):
+        A[block] *= np.multiply.outer(-inv_sqrt[block], inv_sqrt)
     np.fill_diagonal(A, 1.0)
-    return nb.symmetrize(A, out=A)
+    return A
 
 
 def spectral_embed(L, n):

@@ -19,8 +19,8 @@ np.linalg.norm in the last ulp.
 The NSI distance matrix is the stage's only P x P array: the candidate
 search runs on row blocks of it, and it is released once the (P, k)
 candidate distances are gathered.  The coefficients C and the weights
-Omega are sparse, k stored entries per row.  The affinity and the
-Laplacian are symmetrized by one tiled helper, ``symmetrize``.
+Omega are sparse, k stored entries per row.  The tiled ``symmetrize``
+serves the affinity, the one P x P sum that is not symmetric as built.
 """
 
 import numbers
@@ -40,7 +40,7 @@ _TOL_ABS, _TOL_REL = 1e-8, 1e-6    # ADMM stopping tolerances at rho = 1
 _BLOCK_ENTRIES = 10240
 
 # Side of the square tiles ``symmetrize`` works on: the tile pair one
-# step touches and its scratch tile take 1.5 MB.  Row-block passes over
+# step reads and the two it writes take 2 MB.  Row-block passes over
 # P x P arrays (``row_blocks``) take blocks of about one tile's entries.
 _TILE = 256
 
@@ -71,17 +71,20 @@ class SparseNeighborSolution:
     """Row-stacked sparse coefficients with per-row solve metadata.
 
     C stores exactly the k candidates of every row, zero coefficients
-    included, in ascending column order, so ``C.data.reshape(P, k)``,
-    ``candidates`` and ``X`` are aligned entry by entry.  The rows were
-    solved in (distance, index) order, ``np.lexsort((candidates[i],
-    X[i]))``.
+    included.  Each row is solved and stored in ascending column order,
+    so ``C.data.reshape(P, k)``, ``candidates`` and ``X`` are aligned
+    entry by entry.
     """
 
     C: csr_array                 # (P, P), row i = c_i^T, zero diagonal
-    candidates: np.ndarray       # (P, k), row i = candidate indices of row i
     stats: np.recarray           # (P,) iterations, primal_residual,
                                  # dual_residual, converged, stalled
     X: np.ndarray                # (P, k) NSI distances of the candidates
+
+    @property
+    def candidates(self):
+        """(P, k) candidate indices, row i ascending: C's column indices."""
+        return self.C.indices.reshape(self.C.shape[0], -1)
 
     @property
     def stalled_rows(self):
@@ -122,27 +125,24 @@ def nsi_dissimilarity_rows(subspace):
 
 
 def symmetrize(M, out):
-    """0.5 * (M + M.T) of a square M, written into ``out`` tile pair by
-    tile pair; ``out`` may be M itself.
+    """0.5 * (M + M.T) of a square M, written into ``out`` (not M itself)
+    tile pair by tile pair.
 
     Each entry is (M[i, j] + M[j, i]) * 0.5, the same operations as the
     whole-matrix expression, so the result is the same bits and exactly
     symmetric.  A step reads a tile and its transposed partner, which
-    keeps the strided reads of M.T in cache, and writes both from one
-    scratch tile, so it can overwrite M.  Returns ``out``.
+    keeps the strided reads of M.T in cache, forms the upper tile in
+    ``out`` and mirrors it into the lower one.  Returns ``out``.
     """
     P = M.shape[0]
-    scratch = np.empty((min(P, _TILE),) * 2)
     for i in range(0, P, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, P, _TILE):
             cols = slice(j, j + _TILE)
-            upper = M[rows, cols]
-            tile = scratch[:upper.shape[0], :upper.shape[1]]
-            np.add(upper, M[cols, rows].T, out=tile)
+            tile = np.add(M[rows, cols], M[cols, rows].T, out=out[rows, cols])
             tile *= 0.5
-            out[rows, cols] = tile
-            out[cols, rows] = tile.T
+            if j > i:
+                out[cols, rows] = tile.T
     return out
 
 
@@ -224,10 +224,10 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     The candidates are searched on row blocks of the NSI distance matrix,
     which is released once their (P, k) distances are gathered.  All rows
     share the candidate-set size, so their solves run as one vectorized
-    batch in which each row freezes at its own convergence.  The result
-    is stored in ascending column order (``SparseNeighborSolution``).
-    Stalled rows are flagged in the stats and a single summary warning is
-    issued, never dropped.
+    batch in which each row freezes at its own convergence.  Each row is
+    solved and stored in ascending column order.  Stalled rows are
+    flagged in the stats and a single summary warning is issued, never
+    dropped.
     """
     X = nsi_distances(subspace)
     P = X.shape[0]
@@ -237,16 +237,14 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     candidates = np.concatenate([
         search_area(X[rows], np.arange(rows.start, rows.stop), size)
         for rows in row_blocks(P)])
+    candidates.sort(axis=1)
     x = np.take_along_axis(X, candidates, axis=1)
     del X
     coeffs, stats = _solve_rows(x, sigma, lam, admm)
-    by_column = np.argsort(candidates, axis=1)
-    candidates, x, coeffs = (np.take_along_axis(a, by_column, axis=1)
-                             for a in (candidates, x, coeffs))
     C = csr_array((coeffs.ravel(), candidates.ravel(),
                    np.arange(0, P * size + 1, size)), shape=(P, P))
 
-    solution = SparseNeighborSolution(C, candidates, stats, x)
+    solution = SparseNeighborSolution(C, stats, x)
     if solution.stalled_rows:
         warnings.warn(f"{len(solution.stalled_rows)} row solves stalled "
                       "above tolerance", SolverStall)

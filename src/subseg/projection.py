@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .neighbors import is_integer
+
 # The power iteration stops at a relative gain below _TOL or at _MAX_ITER
 _TOL = 1e-8
 _MAX_ITER = 500
@@ -44,6 +46,8 @@ class SpcaParams:
     mu: np.ndarray = None
 
     def __post_init__(self):
+        if not is_integer(self.m):
+            raise ValueError("m must be an integer")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.mu is None:

@@ -280,6 +280,8 @@ def read_trajectory(path):
         lines = [line for line in fh if line.strip()]
     try:
         F, P, n = (int(v) for v in lines[0].split())
+        if n < 0:
+            raise ValueError(f"negative motion count {n}")
         # row by row, so only one row of token strings is alive at a time
         data = np.array([np.array(line.split(), dtype=float)
                          for line in lines[1:1 + 2 * F]])

@@ -103,8 +103,10 @@ def _set_first_entry(lines, row, token):
      "mask entries must be 0 or 1"),
     (lambda lines: lines + ["0 1"], "lines after the label line"),
     (lambda lines: _set_first_entry(lines, 81, "9" * 20), "too large"),
+    (lambda lines: [lines[0].rsplit(maxsplit=1)[0] + " -1"] + lines[1:],
+     "negative motion count -1"),
 ], ids=["not-a-trajectory", "mask-token-7", "mask-token-1.0",
-        "line-after-labels", "label-overflow"])
+        "line-after-labels", "label-overflow", "negative-motion-count"])
 def test_segment_parse_failure_exit_3(tmp_path, scene_file, capsys, edit,
                                       message):
     bad = tmp_path / "bad.traj"
@@ -176,6 +178,10 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--gamma", "nan"], "gamma entries must be >= 0 and finite"),
     (["--sigma-e", "inf"], "sigma_e must be > 0 and finite"),
     (["--lambda", "inf"], "lambda must be >= 0 and finite"),
+    (["--gamma", "-1", "--projector", "pca"], "gamma entries must be >= 0"),
+    (["--gamma", "nan", "--projector", "pca"],
+     "gamma entries must be >= 0 and finite"),
+    (["--seed", "-1"], "seed must be an integer >= 0"),
 ])
 def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                                          options, message):

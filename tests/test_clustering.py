@@ -217,8 +217,8 @@ def test_connectivity_shortcut_agrees_with_sparse_count(monkeypatch):
 
 
 def test_affinity_and_laplacian_match_whole_matrix_forms():
-    """The tiled symmetrization gives the bits of the whole-matrix
-    expressions across tile boundaries."""
+    """The tiled symmetrization and the row-block scaling give the bits
+    of the whole-matrix expressions across tile and block boundaries."""
     P = 600
     rng = np.random.default_rng(6)
     Omega = np.where(rng.uniform(size=(P, P)) < 0.03,
@@ -230,10 +230,16 @@ def test_affinity_and_laplacian_match_whole_matrix_forms():
     A = build_affinity(Omega, ErrorMatrix(E), sigma_e=0.5).A
     assert np.array_equal(A, want)
 
-    inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
-    L = A * -inv_sqrt[:, None] * inv_sqrt
-    np.fill_diagonal(L, 1.0)
-    assert np.array_equal(normalized_laplacian(A), 0.5 * (L + L.T))
+    isolated = [0, 350]                 # in the first and a middle block
+    A[isolated] = A[:, isolated] = 0.0
+    d = A.sum(axis=1)
+    inv_sqrt = np.divide(1.0, np.sqrt(d), out=np.zeros(P), where=d > 0)
+    want = A * np.multiply.outer(-inv_sqrt, inv_sqrt)
+    np.fill_diagonal(want, 1.0)
+    L = normalized_laplacian(A)
+    assert np.array_equal(L, want)
+    assert np.array_equal(L, L.T)
+    assert np.array_equal(L[isolated], np.eye(P)[isolated])
 
 
 def random_graph(P, seed):
@@ -456,7 +462,8 @@ def test_segment_config_validation():
     ("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf),
     ("sigma_e", 0.0), ("sigma_e", -1.0), ("sigma_e", np.nan),
     ("sigma_e", np.inf),
-    ("lam", -1.0), ("lam", np.nan), ("lam", np.inf)])
+    ("lam", -1.0), ("lam", np.nan), ("lam", np.inf),
+    ("seed", -1), ("seed", 2.5), ("seed", True)])
 def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
     # the messages name "lambda" for lam, which the pattern "lam" matches
     with pytest.raises(ValueError, match=field):
@@ -466,7 +473,8 @@ def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
 def test_segment_config_accepts_boundary_counts_and_rank_tol():
     config = SegmentConfig(n=np.int64(2), m=np.int64(1),
                            neighbors=np.int64(1), restarts=1, rank_tol=0.0,
-                           lam=0.0, sigma=1e-300, sigma_e=1e-300)
+                           lam=0.0, sigma=1e-300, sigma_e=1e-300,
+                           seed=np.int64(0))
     assert (config.neighbors, config.restarts, config.rank_tol) == (1, 1, 0.0)
     SegmentConfig(n=2, rank_tol=np.nextafter(1.0, 0.0))
 

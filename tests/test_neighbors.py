@@ -259,22 +259,13 @@ def test_solver_deterministic():
     assert np.array_equal(c1, c2)
 
 
-def in_search_order(sol):
-    """Each row's candidates, their distances and their coefficients in
-    the (distance, index) order the row was solved in."""
-    P, k = sol.candidates.shape
-    order = np.lexsort((sol.candidates, sol.X), axis=-1)
-    return [np.take_along_axis(a, order, axis=1)
-            for a in (sol.candidates, sol.X, sol.C.data.reshape(P, k))]
-
-
 def test_batch_matches_per_row():
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
     batch = solve_all_neighbors(G, size=12)
     _, X = nsi_dissimilarity_rows(G)
-    candidates, _, coeffs = in_search_order(batch)
-    for i, cand in enumerate(candidates):
+    coeffs = batch.C.data.reshape(batch.candidates.shape)
+    for i, cand in enumerate(batch.candidates):
         c, stats = solve_sparse_neighbors(X[i, cand])
         assert np.array_equal(coeffs[i], c)
         assert batch.stats[i].iterations == stats.iterations
@@ -310,9 +301,9 @@ def test_solver_matches_reference_iterates():
                 sol = solve_all_neighbors(G, size=10, admm=admm)
         else:
             sol = solve_all_neighbors(G, size=10, admm=admm)
-        candidates, _, coeffs = in_search_order(sol)
+        coeffs = sol.C.data.reshape(sol.candidates.shape)
         frozen = set()
-        for i, cand in enumerate(candidates):
+        for i, cand in enumerate(sol.candidates):
             c, it, r, s, converged, stalled = reference_admm(
                 X[i, cand], 0.07, max_iter)
             stats = sol.stats[i]
@@ -347,9 +338,9 @@ def test_row_result_independent_of_batch_and_block():
     assert converged.min() < block <= converged.max()
     rows = np.union1d(np.r_[0:block:53, block - 2:block + 3, P - 9:P],
                       converged)
-    _, x, coeffs = in_search_order(sol)
+    coeffs = sol.C.data.reshape(sol.X.shape)
     for i in rows:
-        c, stats = solve_sparse_neighbors(x[i])
+        c, stats = solve_sparse_neighbors(sol.X[i])
         assert np.array_equal(coeffs[i], c)
         assert sol.stats[i].tolist() == stats.tolist(), i
 

@@ -127,6 +127,16 @@ def test_projectors_reject_m_above_min_dimension():
                 project()
 
 
+@pytest.mark.parametrize("m", [2.5, True, 0])
+def test_spca_params_reject_bad_m(m):
+    with pytest.raises(ValueError, match="m must be"):
+        SpcaParams(m=m)
+
+
+def test_spca_params_accept_numpy_integer_m():
+    assert SpcaParams(m=np.int64(3)).mu.shape == (3,)
+
+
 def test_spca_params_validation():
     with pytest.raises(ValueError):
         SpcaParams(m=2, mu=[1.0, 1.0])       # not distinct
