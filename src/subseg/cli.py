@@ -99,9 +99,13 @@ def cmd_generate(args):
             noise_sigma=args.noise_sigma,
             missing_rate=args.missing_rate,
             seed=args.seed)
+        W, labeling = synthcam.make_scene(config)
+    except np.linalg.LinAlgError as exc:
+        return _fail(EXIT_PIPELINE, f"generation failed: {exc}")
     except ValueError as exc:
         return _fail(EXIT_CONFIG, f"configuration error: {exc}")
-    W, labeling = synthcam.make_scene(config)
+    except Exception as exc:
+        return _fail(EXIT_PIPELINE, f"generation failed: {exc}")
     try:
         synthcam.write_trajectory(args.out, W, labeling)
     except OSError as exc:

@@ -386,44 +386,32 @@ def _admm_block(thresh, H, H_sum, max_iter):
 def weight_matrix(C, X):
     """Distance-normalized weights omega_ij = (c_ij/X_ij) / sum_t c_it/X_it.
 
-    C is coerced to a CSR array (a dense C stores its nonzeros).  X is
-    either the P x P distance matrix or one distance per stored entry of
-    C in its stored order, such as ``SparseNeighborSolution.X``.  Only the
-    nonzero coefficients are divided by their distances; every other
-    stored entry keeps C's zero, which the quotient gives for any non-NaN
-    distance.  Zero distances (coincident points) are clamped to 1e-12 so
-    duplicates get near-total weight instead of a division by zero.
-    Diagonal entries are zeroed.  Rows whose normalizer vanishes are left
-    zero.  Omega stores the same entries as C.  The normalizer is the sum
-    of the row's dense image, scattered into one zeroed ``row_blocks``
-    block at a time: numpy's pairwise summation groups terms by column
-    position, so only the dense row gives the bits of a dense Omega, and
-    a sum over the stored entries alone can differ from it by a few ulps.
+    C is coerced to a CSR array (a dense C stores its nonzeros) and its
+    duplicate entries are summed.  X is either the P x P distance matrix
+    or one distance per stored entry of C in its stored order, such as
+    ``SparseNeighborSolution.X``.  Only the nonzero coefficients are
+    divided by their distances; every other stored entry keeps C's zero,
+    which the quotient gives for any non-NaN distance.  Zero distances
+    (coincident points) are clamped to 1e-12 so duplicates get near-total
+    weight instead of a division by zero.  Diagonal entries are zeroed.
+    Each row's normalizer is the sequential sum of its stored ratios in
+    column order; rows whose normalizer vanishes are left zero.  Omega
+    stores the same entries as C.
     """
     C = csr_array(C, dtype=float, copy=True)
     C.sum_duplicates()
     P = C.shape[0]
-    counts = np.diff(C.indptr)
-    rows = np.repeat(np.arange(P), counts)
+    rows = np.repeat(np.arange(P), np.diff(C.indptr))
     X = np.asarray(X)
     dist = X[rows, C.indices] if X.shape == C.shape else X.reshape(-1)
     if dist.size != C.nnz:
         raise ValueError("X must be P x P or hold one distance per stored "
                          "entry of C")
     ratios = C.data
-    support = np.flatnonzero(ratios != 0)
-    ratios[support] /= np.maximum(dist[support], 1e-12)
+    np.divide(ratios, np.maximum(dist, 1e-12), out=ratios, where=ratios != 0)
     ratios[C.indices == rows] = 0.0
-    denom = np.empty(P)
-    blocks = row_blocks(P)
-    image = np.zeros((blocks[0].stop, P))
-    for block in blocks:
-        entries = slice(C.indptr[block.start], C.indptr[block.stop])
-        at = (rows[entries] - block.start, C.indices[entries])
-        image[at] = ratios[entries]
-        image[:block.stop - block.start].sum(axis=1, out=denom[block])
-        image[at] = 0.0
-    valid = np.repeat(np.abs(denom) > 1e-12, counts)
-    np.divide(ratios, np.repeat(denom, counts), out=ratios, where=valid)
+    denom = np.bincount(rows, weights=ratios, minlength=P)[rows]
+    valid = np.abs(denom) > 1e-12
+    np.divide(ratios, denom, out=ratios, where=valid)
     ratios[~valid] = 0.0
     return WeightMatrix(C)

@@ -52,10 +52,12 @@ class SpcaParams:
             raise ValueError("m must be >= 1")
         if self.mu is None:
             self.mu = 1.0 / np.arange(1, self.m + 1)
-        self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float),
-                                     (self.m,)).copy()
-        self.mu = np.broadcast_to(np.asarray(self.mu, dtype=float),
-                                  (self.m,)).copy()
+        for name in ("gamma", "mu"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape not in ((), (1,), (self.m,)):
+                raise ValueError(f"{name} must be a scalar or have m={self.m} "
+                                 f"entries, got shape {value.shape}")
+            setattr(self, name, np.broadcast_to(value, (self.m,)).copy())
         if not np.all((self.gamma >= 0) & (self.gamma < np.inf)):
             raise ValueError("gamma entries must be >= 0 and finite")
         if not np.all((self.mu > 0) & (self.mu < np.inf)):

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from .neighbors import is_integer
+
 
 class FrameMismatch(ValueError):
     """Motion tracks passed to a single scene disagree on frame count."""
@@ -142,8 +144,10 @@ class SceneConfig:
             raise ValueError("frames must be >= 3")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be >= 0 and finite")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         for name in ("points_per_motion", "rotation_rate", "translation_rate"):
             value = getattr(self, name)
             if np.isscalar(value):
@@ -151,6 +155,8 @@ class SceneConfig:
             value = tuple(value)
             if len(value) != self.n_motions:
                 raise ValueError(f"{name} must have one entry per motion")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, value)
         if any(p < 4 for p in self.points_per_motion):
             raise ValueError("points_per_motion entries must be >= 4")

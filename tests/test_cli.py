@@ -55,11 +55,23 @@ def test_generate_defaults_follow_scene_config(tmp_path):
     assert np.array_equal(labels.labels, labels_lib.labels)
 
 
-def test_generate_invalid_config_exit_2(tmp_path, capsys):
-    code = run(["generate", "--n-motions", "0",
-                "--out", str(tmp_path / "x.traj")])
-    assert code == 2
-    assert "n_motions" in capsys.readouterr().err
+@pytest.mark.parametrize("option, value, message", [
+    ("--n-motions", "0", "n_motions"),
+    ("--seed", "-1", "seed"),
+    ("--rotation-rate", "nan", "rotation_rate"),
+    ("--rotation-rate", "inf", "rotation_rate"),
+    ("--translation-rate", "inf", "translation_rate"),
+    ("--translation-rate", "1e308", "trajectory coordinates must be finite"),
+    ("--noise-sigma", "inf", "noise_sigma"),
+    ("--noise-sigma", "nan", "noise_sigma"),
+], ids=["n-motions-0", "seed-negative", "rotation-nan", "rotation-inf",
+        "translation-inf", "translation-1e308", "noise-inf", "noise-nan"])
+def test_generate_invalid_config_exit_2(tmp_path, capsys, option, value,
+                                       message):
+    out = tmp_path / "x.traj"
+    assert run(["generate", option, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_segment_writes_labels_and_report(tmp_path, scene_file):

