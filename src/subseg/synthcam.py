@@ -138,6 +138,9 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_motions", "frames"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.n_motions < 1:
             raise ValueError("n_motions must be >= 1")
         if self.frames < 3:
@@ -158,6 +161,8 @@ class SceneConfig:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, value)
+        if not all(is_integer(p) for p in self.points_per_motion):
+            raise ValueError("points_per_motion entries must be integers")
         if any(p < 4 for p in self.points_per_motion):
             raise ValueError("points_per_motion entries must be >= 4")
 
@@ -174,6 +179,10 @@ def make_motion_track(seed, frames, rotation_rate, translation_rate):
     axis = _random_unit(rng)
     direction = _random_unit(rng)
     step = Rotation.from_rotvec(axis * rotation_rate).as_matrix()
+    # a rate near the float limit overflows the rotation angle
+    if not np.all(np.isfinite(step)):
+        raise ValueError(f"rotation_rate {rotation_rate} gives a non-finite "
+                         "step rotation")
 
     rotations = np.empty((frames, 3, 3))
     translations = np.empty((frames, 3))

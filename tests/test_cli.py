@@ -60,12 +60,14 @@ def test_generate_defaults_follow_scene_config(tmp_path):
     ("--seed", "-1", "seed"),
     ("--rotation-rate", "nan", "rotation_rate"),
     ("--rotation-rate", "inf", "rotation_rate"),
+    ("--rotation-rate", "1e308", "rotation_rate"),
     ("--translation-rate", "inf", "translation_rate"),
     ("--translation-rate", "1e308", "trajectory coordinates must be finite"),
     ("--noise-sigma", "inf", "noise_sigma"),
     ("--noise-sigma", "nan", "noise_sigma"),
 ], ids=["n-motions-0", "seed-negative", "rotation-nan", "rotation-inf",
-        "translation-inf", "translation-1e308", "noise-inf", "noise-nan"])
+        "rotation-1e308", "translation-inf", "translation-1e308", "noise-inf",
+        "noise-nan"])
 def test_generate_invalid_config_exit_2(tmp_path, capsys, option, value,
                                        message):
     out = tmp_path / "x.traj"

@@ -69,7 +69,8 @@ def simplex_grid_minimum(x, q, lam, step=1e-2):
 def reference_admm(x, lam, max_iter):
     """Plain one-row ADMM at rho = 1: the textbook update sequence,
     np.linalg.norm residuals and the sign/abs soft threshold, stopping at
-    the first iteration that meets the module's tolerances.
+    the first iteration that meets the module's tolerances.  nu takes the
+    left-to-right sum of w, the order the solver sums a row's candidates.
 
     Returns (c, iterations, r, s, converged, stalled), with c reduced to
     the support of z and renormalized as the solver does.
@@ -86,7 +87,7 @@ def reference_admm(x, lam, max_iter):
     converged = False
     for it in range(1, max_iter + 1):
         w = H * (z - u)
-        nu = (w.sum() - 1.0) / H_sum
+        nu = (np.cumsum(w)[-1] - 1.0) / H_sum
         c = w - nu * H
         v = c + u
         z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
@@ -322,27 +323,49 @@ def test_solver_matches_reference_iterates():
 
 
 def test_row_result_independent_of_batch_and_block():
-    """A row solved inside the whole batch, in a full or in the partial
-    last block, gives the same bits as the row solved alone: coefficients,
-    iterations, flags and both residual norms."""
-    W, _ = make_scene(SceneConfig(points_per_motion=(301, 300), seed=3))
-    G = pca_project(W, 5)
-    size = 20
-    block = nb._BLOCK_ENTRIES // size
-    P = G.points
-    assert block < P < 2 * block and P % 8 != 0
-    sol = solve_all_neighbors(G, size=size)
-    # capped rows around the block boundary and at the end, and every row
-    # that converges, in either block
-    converged = np.flatnonzero(sol.stats.converged)
-    assert converged.min() < block <= converged.max()
-    rows = np.union1d(np.r_[0:block:53, block - 2:block + 3, P - 9:P],
-                      converged)
-    coeffs = sol.C.data.reshape(sol.X.shape)
-    for i in rows:
-        c, stats = solve_sparse_neighbors(sol.X[i])
-        assert np.array_equal(coeffs[i], c)
-        assert sol.stats[i].tolist() == stats.tolist(), i
+    """A row solved inside the whole batch, in a full, a partial or a
+    one-row last block, gives the same bits as the row solved alone:
+    coefficients, iterations, flags and both residual norms."""
+    for points_per_motion, size in [
+            ((301, 300), 20),    # a full block and a partial last block
+            ((257, 256), 20),    # P = 513: the last block holds one row
+            ((750, 750), 7)]:    # block slices of 7 * rows doubles, not 8 * n
+        W, _ = make_scene(SceneConfig(points_per_motion=points_per_motion,
+                                      seed=3))
+        G = pca_project(W, 5)
+        block = nb._BLOCK_ENTRIES // size
+        P = G.points
+        assert block < P < 2 * block and P % 8 != 0
+        sol = solve_all_neighbors(G, size=size)
+        # rows converge in either block, unless the last holds one row
+        converged = np.flatnonzero(sol.stats.converged)
+        assert converged.min() < block
+        assert P - block == 1 or converged.max() >= block
+        # capped rows spread over the batch, around the block boundary and
+        # at the end, and up to about 30 of the rows that converge
+        rows = np.union1d(
+            np.r_[0:P:P // 12, block - 2:min(block + 3, P), P - 9:P],
+            converged[::-(-converged.size // 30)])
+        coeffs = sol.C.data.reshape(sol.X.shape)
+        for i in rows:
+            c, stats = solve_sparse_neighbors(sol.X[i])
+            assert np.array_equal(coeffs[i], c), (P, size, i)
+            assert sol.stats[i].tolist() == stats.tolist(), (P, size, i)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (6000,), (10240,),
+                                   (7, 3), (20, 512)])
+@pytest.mark.parametrize("count", [1, 5])
+def test_aligned_stack_slices_are_aligned(shape, count):
+    stack = nb._aligned_stack(count, shape)
+    assert stack.shape == (count,) + shape and stack.dtype == float
+    for i, part in enumerate(stack):
+        assert part.flags.c_contiguous and part.flags.writeable
+        assert part.ctypes.data % 64 == 0
+        part[...] = i
+    # the slices do not overlap
+    for i, part in enumerate(stack):
+        assert np.all(part == i)
 
 
 @pytest.mark.parametrize("field,value", [

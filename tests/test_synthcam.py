@@ -205,6 +205,13 @@ def test_single_motion_blocks_rank_property():
     dict(rotation_rate=float("nan")),
     dict(rotation_rate=(0.1, float("inf"))),
     dict(translation_rate=float("-inf")),
+    dict(n_motions=2.0),
+    dict(n_motions=True),
+    dict(frames=3.5),
+    dict(frames=np.float64(30)),
+    dict(points_per_motion=60.5),
+    dict(points_per_motion=(60, 60.5)),
+    dict(points_per_motion=(True, 60)),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -213,6 +220,21 @@ def test_config_validation(bad):
 
 def test_config_accepts_numpy_integer_seed():
     assert SceneConfig(seed=np.int64(3)).seed == 3
+
+
+def test_config_accepts_numpy_integer_sizes():
+    config = SceneConfig(n_motions=np.int64(2), frames=np.int64(5),
+                         points_per_motion=(np.int64(6), 7))
+    W, labels = make_scene(config)
+    assert (W.frames, W.points, labels.n) == (5, 13, 2)
+
+
+@pytest.mark.parametrize("rate", [1e308, -1e308])
+def test_scene_rejects_overflowing_rotation_rate(rate):
+    # finite, but the rotation angle of the step overflows
+    config = SceneConfig(rotation_rate=rate)
+    with pytest.raises(ValueError, match="rotation_rate"):
+        make_scene(config)
 
 
 def test_trajectory_file_round_trip(tmp_path):
