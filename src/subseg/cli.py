@@ -7,6 +7,7 @@ parse error, 4 pipeline failure.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -81,6 +82,9 @@ def build_parser():
     rep.add_argument("report", help="report JSON from the segment command")
     rep.add_argument("out", help="output SVG path")
     rep.set_defaults(func=cmd_report)
+    # argparse (Python 3.11) would take a value such as "-1e-3" for an option
+    for each in sub.choices.values():
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

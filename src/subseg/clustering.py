@@ -17,6 +17,7 @@ from scipy.sparse.linalg import eigsh
 from . import neighbors as nb
 from . import projection as pj
 from . import subspace_error as se
+from ._checks import check_count, check_range
 from .synthcam import Labeling
 
 _LLOYD_MAX_ITER = 300       # Lloyd iterations per k-means restart
@@ -71,30 +72,20 @@ class SegmentConfig:
     admm: nb.AdmmParams = field(default_factory=nb.AdmmParams)
 
     def __post_init__(self):
-        for name in ("n", "restarts"):
-            if not nb.is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not nb.is_integer(self.seed) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+        check_count("n", self.n, 1)
+        check_count("restarts", self.restarts, 1)
+        check_count("seed", self.seed, 0)
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
         # SpcaParams owns the m, gamma and mu rules; they hold under
         # either projector
         pj.SpcaParams(self.m, gamma=self.gamma, mu=self.mu)
-        if not nb.is_integer(self.neighbors):
-            raise ValueError("neighbors must be an integer")
-        if self.neighbors < 1:
-            raise ValueError("neighbors: search area size must be >= 1")
-        if not 0 <= self.rank_tol < 1:
-            raise ValueError("rank_tol must be >= 0 and < 1")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lambda must be >= 0 and finite")
+        check_count("neighbors", self.neighbors, 1)
+        check_range("rank_tol", self.rank_tol, 0, 1)
+        check_range("lambda", self.lam, 0)
         for name in ("sigma", "sigma_e"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be > 0 and finite")
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), 0, closed=False)
 
 
 def build_affinity(Omega, E, sigma_e=None, raw_error=False):
@@ -113,8 +104,8 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     connected; only otherwise are the components counted on a sparse copy
     of the edge pattern.
     """
-    if sigma_e is not None and not 0 < sigma_e < np.inf:
-        raise ValueError("sigma_e must be > 0 and finite")
+    if sigma_e is not None:
+        check_range("sigma_e", sigma_e, 0, closed=False)
     B = E.data
     A = np.empty(B.shape)
     if raw_error:
@@ -175,9 +166,8 @@ def spectral_embed(L, n):
     spectral gap.  A dense ``eigh`` serves n + 1 >= P, which ARPACK
     cannot.
     """
+    check_count("n", n, 1)
     P = L.shape[0]
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > P:
         raise ValueError("n must be <= number of points")
     if n + 1 < P:
@@ -203,12 +193,11 @@ def kmeans(X, n, restarts=10, seed=0):
     Empty clusters are re-seeded at the point farthest from its centroid.
     Deterministic for a fixed seed.
     """
+    check_count("n", n, 1)
+    check_count("restarts", restarts, 1)
     X = np.asarray(X, dtype=float)
-    P = X.shape[0]
-    if not 1 <= n <= P:
-        raise ValueError("n must be >= 1 and <= number of points")
-    if not nb.is_integer(restarts) or restarts < 1:
-        raise ValueError("restarts must be an integer >= 1")
+    if n > X.shape[0]:
+        raise ValueError("n must be <= number of points")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):

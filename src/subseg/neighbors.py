@@ -29,12 +29,13 @@ serves the affinity, the one P x P sum that is not symmetric as built.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
+
+from ._checks import check_count, check_range
 
 
 _STATS_FIELDS = "iterations,primal_residual,dual_residual,converged,stalled"
@@ -63,13 +64,7 @@ class AdmmParams:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not is_integer(self.max_iter) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer >= 1")
-
-
-def is_integer(value):
-    """Whether ``value`` is an integer (Python or numpy), bool excluded."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass
@@ -172,8 +167,7 @@ def search_area(x, self_index, size):
     whose boundary value recurs outside the kept entries, or whose kept
     entries hold a NaN, is sorted in full.
     """
-    if size < 1:
-        raise ValueError("search area size must be >= 1")
+    check_count("size", size, 1)
     x = np.asarray(x)
     keep_n = min(size + 1, x.shape[-1])
     order = np.argpartition(x, keep_n - 1, axis=-1)[..., :keep_n]
@@ -198,9 +192,7 @@ def proximity_weights(x, sigma):
     ``sigma`` broadcasts against it), so close points incur a lower L1
     penalty and stay in the support.
     """
-    sigma = np.asarray(sigma)
-    if not np.all((sigma > 0) & (sigma < np.inf)):
-        raise ValueError("sigma must be > 0 and finite")
+    check_range("sigma", sigma, 0, closed=False)
     q = np.exp((x - x.max(axis=-1, keepdims=True)) / sigma)
     return q / q.sum(axis=-1, keepdims=True)
 
@@ -235,6 +227,7 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     flagged in the stats and a single summary warning is issued, never
     dropped.
     """
+    check_count("size", size, 1)
     X = nsi_distances(subspace)
     P = X.shape[0]
     if P < 2:
@@ -273,8 +266,7 @@ def _solve_rows(x_all, sigma, lam, admm):
     primal_residual, dual_residual, converged (the stopping test passed)
     and stalled (not converged, primal residual above 1e-3).
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError("lambda must be >= 0 and finite")
+    check_range("lambda", lam, 0)
     admm = admm or AdmmParams()
     R, k = x_all.shape
     if k == 1:

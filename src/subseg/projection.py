@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neighbors import is_integer
+from ._checks import check_count, check_range
 
 # The power iteration stops at a relative gain below _TOL or at _MAX_ITER
 _TOL = 1e-8
@@ -46,22 +46,16 @@ class SpcaParams:
     mu: np.ndarray = None
 
     def __post_init__(self):
-        if not is_integer(self.m):
-            raise ValueError("m must be an integer")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        check_count("m", self.m, 1)
         if self.mu is None:
             self.mu = 1.0 / np.arange(1, self.m + 1)
-        for name in ("gamma", "mu"):
+        for name, closed in (("gamma", True), ("mu", False)):
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape not in ((), (1,), (self.m,)):
                 raise ValueError(f"{name} must be a scalar or have m={self.m} "
                                  f"entries, got shape {value.shape}")
+            check_range(f"{name} entries", value, 0, closed=closed)
             setattr(self, name, np.broadcast_to(value, (self.m,)).copy())
-        if not np.all((self.gamma >= 0) & (self.gamma < np.inf)):
-            raise ValueError("gamma entries must be >= 0 and finite")
-        if not np.all((self.mu > 0) & (self.mu < np.inf)):
-            raise ValueError("mu entries must be > 0 and finite")
         if np.unique(self.mu).size != self.m:
             raise ValueError("mu entries must be pairwise distinct")
 
@@ -92,12 +86,13 @@ class GlobalSubspace:
     """m x P matrix of unit-norm projected trajectory columns."""
 
     data: np.ndarray
-    m: int
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape[0] != self.m:
-            raise ValueError("data must have m rows")
+
+    @property
+    def m(self):
+        return self.data.shape[0]
 
     @property
     def points(self):
@@ -111,6 +106,7 @@ def pca_project(W, m):
     singular values the missing rows are zero-padded and a RankDeficient
     warning is issued.
     """
+    check_count("m", m, 1)
     A = W.data
     _check_m(m, A)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
@@ -120,7 +116,7 @@ def pca_project(W, m):
                       RankDeficient)
     proj = U[:, :m].T @ A
     proj[rank:] = 0.0
-    return GlobalSubspace(_normalize_columns(proj), m)
+    return GlobalSubspace(_normalize_columns(proj))
 
 
 def gpower_block(W, params):
@@ -188,7 +184,7 @@ def extract_pattern(Y, W, params):
 def assemble_global(W, loadings):
     """Normalize the projected data Z^T W column-wise into the global subspace."""
     proj = loadings.Z.T @ W.data
-    return GlobalSubspace(_normalize_columns(proj), loadings.Z.shape[1])
+    return GlobalSubspace(_normalize_columns(proj))
 
 
 def _check_m(m, A):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array, eye_array
 
+from ._checks import check_range
+
 DEFAULT_RANK_TOL = 1e-6
 
 
@@ -60,6 +62,7 @@ def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
     one P x P array made.  Returns the ErrorMatrix and the list of
     LocalSubspace, one per point.
     """
+    check_range("rank_tol", rank_tol, 0, 1)
     G = subspace.data
     P = subspace.points
     support = ((csr_array(Omega, copy=True) != 0)

@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .neighbors import is_integer
+from ._checks import check_count, check_range
 
 
 class FrameMismatch(ValueError):
@@ -77,13 +76,11 @@ class TrajectoryMatrix:
 
     data: np.ndarray
     mask: np.ndarray
-    frames: int
-    points: int
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.data.shape != (2 * self.frames, self.points):
+        if self.data.ndim != 2 or self.data.shape[0] % 2 != 0:
             raise ValueError("data must be 2F x P")
         if self.mask.shape != self.data.shape:
             raise ValueError("mask must match data shape")
@@ -97,13 +94,17 @@ class TrajectoryMatrix:
         if np.any(self.data[~self.mask] != 0.0):
             raise ValueError("masked-out entries must be zero")
 
+    @property
+    def frames(self):
+        return self.data.shape[0] // 2
+
+    @property
+    def points(self):
+        return self.data.shape[1]
+
     @classmethod
     def from_dense(cls, data):
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[0] % 2 != 0:
-            raise ValueError("data must be 2F x P")
-        return cls(data, np.ones(data.shape, dtype=bool),
-                   data.shape[0] // 2, data.shape[1])
+        return cls(data, np.ones(np.shape(data), dtype=bool))
 
 
 @dataclass
@@ -114,6 +115,7 @@ class Labeling:
     n: int
 
     def __post_init__(self):
+        check_count("n", self.n, 1)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.labels.ndim != 1:
             raise ValueError("labels must be one-dimensional")
@@ -138,19 +140,11 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_motions", "frames"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if self.n_motions < 1:
-            raise ValueError("n_motions must be >= 1")
-        if self.frames < 3:
-            raise ValueError("frames must be >= 3")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ValueError("missing_rate must lie in [0, 1)")
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be >= 0 and finite")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+        check_count("n_motions", self.n_motions, 1)
+        check_count("frames", self.frames, 3)
+        check_range("missing_rate", self.missing_rate, 0, 1)
+        check_range("noise_sigma", self.noise_sigma, 0)
+        check_count("seed", self.seed, 0)
         for name in ("points_per_motion", "rotation_rate", "translation_rate"):
             value = getattr(self, name)
             if np.isscalar(value):
@@ -161,10 +155,8 @@ class SceneConfig:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, value)
-        if not all(is_integer(p) for p in self.points_per_motion):
-            raise ValueError("points_per_motion entries must be integers")
-        if any(p < 4 for p in self.points_per_motion):
-            raise ValueError("points_per_motion entries must be >= 4")
+        for k, p in enumerate(self.points_per_motion):
+            check_count(f"points_per_motion[{k}]", p, 4)
 
 
 def make_motion_track(seed, frames, rotation_rate, translation_rate):
@@ -173,8 +165,9 @@ def make_motion_track(seed, frames, rotation_rate, translation_rate):
     The rotation axis and translation direction are drawn once from the
     seed; frame f then carries step^(f-1).  Deterministic for a fixed seed.
     """
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    check_count("frames", frames, 1)
+    # imported here so that ``import subseg`` does not load scipy.spatial
+    from scipy.spatial.transform import Rotation
     rng = np.random.default_rng(seed)
     axis = _random_unit(rng)
     direction = _random_unit(rng)
@@ -227,10 +220,8 @@ def corrupt(W, noise_sigma, missing_rate, seed):
     trailing block of frames (at most half the sequence), zero-filled with
     the mask cleared.  Noise is applied to observed entries only.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
-    if not 0.0 <= missing_rate < 1.0:
-        raise ValueError("missing_rate must lie in [0, 1)")
+    check_range("noise_sigma", noise_sigma, 0)
+    check_range("missing_rate", missing_rate, 0, 1)
 
     rng = np.random.default_rng(seed)
     data = W.data.copy()
@@ -247,7 +238,7 @@ def corrupt(W, noise_sigma, missing_rate, seed):
             mask[2 * first_lost:, j] = False
             data[2 * first_lost:, j] = 0.0
 
-    return TrajectoryMatrix(data, mask, W.frames, W.points)
+    return TrajectoryMatrix(data, mask)
 
 
 def make_scene(config):
@@ -316,7 +307,7 @@ def read_trajectory(path):
         raise ValueError(f"malformed trajectory file {path}: "
                          "lines after the label line")
 
-    W = TrajectoryMatrix(data, bits == "1", F, P)
+    W = TrajectoryMatrix(data, bits == "1")
     if labels is None:
         return W, None
     if labels.size != P:

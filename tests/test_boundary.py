@@ -1,8 +1,11 @@
-"""Property test of the request contract of ``segment()``.
+"""The request contract of ``segment()`` and of the public functions that
+take a count or a bounded real.
 
 On any small Gaussian scene, ``segment()`` either returns P labels in
 [0, n) or rejects the request with a ``ValueError`` that is not a LAPACK
-failure; requests that cannot fit the input are always rejected.
+failure; requests that cannot fit the input are always rejected.  Each
+public function rejects a bad count or bound with a ``ValueError`` that
+names the field.
 """
 
 import numpy as np
@@ -10,8 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subseg.clustering import SegmentConfig, segment
-from subseg.synthcam import TrajectoryMatrix
+from subseg.clustering import SegmentConfig, kmeans, segment, spectral_embed
+from subseg.neighbors import search_area, solve_all_neighbors
+from subseg.projection import GlobalSubspace, pca_project
+from subseg.subspace_error import build_error_matrix
+from subseg.synthcam import (Labeling, TrajectoryMatrix, corrupt,
+                             make_motion_track)
 
 
 @st.composite
@@ -42,3 +49,32 @@ def test_segment_returns_labels_or_rejects_request(case):
     assert not (n < 1 or m < 1 or n > P or m > min(W.data.shape))
     assert labeling.labels.shape == (P,)
     assert np.all((labeling.labels >= 0) & (labeling.labels < n))
+
+
+_X = np.random.default_rng(8).normal(size=(6, 3))
+_G = GlobalSubspace(_X.T / np.linalg.norm(_X.T, axis=0))
+_W = TrajectoryMatrix.from_dense(_X)
+_CALLS = {
+    "kmeans": lambda value: kmeans(_X, value),
+    "spectral_embed": lambda value: spectral_embed(np.eye(6), value),
+    "search_area": lambda value: search_area(_X[:, 0], 0, value),
+    "solve_all_neighbors": lambda value: solve_all_neighbors(_G, size=value),
+    "pca_project": lambda value: pca_project(_W, value),
+    "make_motion_track": lambda value: make_motion_track(0, value, 0.1, 1.0),
+    "corrupt": lambda value: corrupt(_W, value, 0.0, 0),
+    "build_error_matrix": lambda value: build_error_matrix(
+        _G, np.zeros((6, 6)), rank_tol=value),
+    "Labeling": lambda value: Labeling(np.zeros(6, dtype=int), value),
+}
+
+
+@pytest.mark.parametrize("function, field, value", [
+    ("kmeans", "n", 2.5), ("kmeans", "n", True),
+    ("spectral_embed", "n", 2.5),
+    ("search_area", "size", 2.5), ("solve_all_neighbors", "size", 2.5),
+    ("pca_project", "m", 2.5), ("make_motion_track", "frames", 2.5),
+    ("corrupt", "noise_sigma", np.nan), ("corrupt", "noise_sigma", np.inf),
+    ("build_error_matrix", "rank_tol", 5.0), ("Labeling", "n", 2.5)])
+def test_public_function_rejects_bad_value(function, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        _CALLS[function](value)

@@ -76,6 +76,24 @@ def test_generate_invalid_config_exit_2(tmp_path, capsys, option, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value", [("--rotation-rate", "-1e-3"),
+                                           ("--translation-rate", "-2e-1")])
+def test_generate_takes_negative_exponent_values(tmp_path, option, value):
+    spaced, joined = tmp_path / "spaced.traj", tmp_path / "joined.traj"
+    assert run(["generate", option, value, "--out", str(spaced)]) == 0
+    assert run(["generate", f"{option}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_import_does_not_load_scipy_spatial():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", "import subseg, sys; "
+                           "print('scipy.spatial' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "False"
+
+
 def test_segment_writes_labels_and_report(tmp_path, scene_file):
     labels_path = tmp_path / "pred.labels"
     report_path = tmp_path / "report.json"
@@ -175,12 +193,12 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
 @pytest.mark.parametrize("options, message", [
     (["--gamma", "-1"], "gamma entries must be >= 0"),
     (["--gamma", "1e9"], "exceeds the feasibility bound"),
-    (["--neighbors", "0"], "search area size must be >= 1"),
+    (["--neighbors", "0"], "neighbors must be an integer >= 1"),
     (["--lambda", "-1"], "lambda must be >= 0"),
     (["--sigma", "0"], "sigma must be > 0"),
     (["--sigma-e", "0"], "sigma_e must be > 0"),
     (["--sigma-e", "-1"], "sigma_e must be > 0"),
-    (["--m", "0"], "m must be >= 1"),
+    (["--m", "0"], "m must be an integer >= 1"),
     (["--n", "61"], "n = 61 exceeds the 60 trajectories"),
     (["--m", "41"], "m = 41 exceeds min(2F, P) = 40"),
     (["--m", "41", "--projector", "pca"], "m = 41 exceeds min(2F, P) = 40"),
@@ -196,6 +214,7 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--gamma", "nan", "--projector", "pca"],
      "gamma entries must be >= 0 and finite"),
     (["--seed", "-1"], "seed must be an integer >= 0"),
+    (["--gamma", "-1e-3"], "gamma entries must be >= 0"),
 ])
 def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                                          options, message):

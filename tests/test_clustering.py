@@ -434,8 +434,7 @@ def test_segment_label_permutation_metamorphic():
     W, truth = make_scene(cfg)
     rng = np.random.default_rng(0)
     perm = rng.permutation(W.points)
-    W_perm = subseg.TrajectoryMatrix(W.data[:, perm], W.mask[:, perm],
-                                     W.frames, W.points)
+    W_perm = subseg.TrajectoryMatrix(W.data[:, perm], W.mask[:, perm])
     lab_a, _ = segment(W, SegmentConfig(n=2, seed=2))
     lab_b, _ = segment(W_perm, SegmentConfig(n=2, seed=2))
     permuted = Labeling(lab_a.labels[perm], 2)
@@ -447,7 +446,7 @@ def test_segment_config_validation():
         SegmentConfig(n=0)
     with pytest.raises(ValueError):
         SegmentConfig(n=2, projector="nope")
-    with pytest.raises(ValueError, match="m must be >= 1"):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
         SegmentConfig(n=2, m=0)
 
 

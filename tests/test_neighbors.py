@@ -108,7 +108,7 @@ def reference_admm(x, lam, max_iter):
 
 
 def unit_subspace(M):
-    return GlobalSubspace(M / np.linalg.norm(M, axis=0), M.shape[0])
+    return GlobalSubspace(M / np.linalg.norm(M, axis=0))
 
 
 def test_nsi_identical():
@@ -408,10 +408,10 @@ def test_nsi_rows_same_bits_for_any_layout():
     G = M / np.linalg.norm(M, axis=0)
     wide = np.zeros((6, 600))
     wide[:, ::2] = G
-    want_sim, want_X = nsi_dissimilarity_rows(GlobalSubspace(G, 6))
+    want_sim, want_X = nsi_dissimilarity_rows(GlobalSubspace(G))
     assert np.array_equal(want_sim, want_sim.T)
     for data in (np.asfortranarray(G), wide[:, ::2]):
-        sim, X = nsi_dissimilarity_rows(GlobalSubspace(data, 6))
+        sim, X = nsi_dissimilarity_rows(GlobalSubspace(data))
         assert np.array_equal(sim, want_sim)
         assert np.array_equal(X, want_X)
 

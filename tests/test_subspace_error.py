@@ -7,7 +7,7 @@ from subseg.subspace_error import build_error_matrix, subspace_basis
 
 
 def unit_subspace(M):
-    return GlobalSubspace(M / np.linalg.norm(M, axis=0), M.shape[0])
+    return GlobalSubspace(M / np.linalg.norm(M, axis=0))
 
 
 def planted_two_subspace(rng, dim=5, per_block=20, angle_deg=30.0):

@@ -261,7 +261,7 @@ def test_trajectory_file_golden_text(tmp_path):
     data = np.array([[0.1, -0.0, 1e-300],
                      [123456789.123, 0.0, -2.5]])
     mask = np.array([[True, True, True], [True, False, True]])
-    W = TrajectoryMatrix(data, mask, 1, 3)
+    W = TrajectoryMatrix(data, mask)
     body = ("0.10000000000000001 -0 1e-300\n"
             "123456789.123 0 -2.5\n"
             "1 1 1\n"
@@ -285,7 +285,7 @@ def test_masked_entries_must_be_zero():
     mask = np.ones((4, 3), dtype=bool)
     mask[3, 1] = False
     with pytest.raises(ValueError):
-        TrajectoryMatrix(data, mask, 2, 3)
+        TrajectoryMatrix(data, mask)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
