@@ -12,6 +12,12 @@ def check_count(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}")
 
 
+def check_seed(seed):
+    """Reject ``seed`` unless it is an integer >= 0 or a SeedSequence."""
+    if not isinstance(seed, np.random.SeedSequence):
+        check_count("seed", seed, 0)
+
+
 def check_range(name, value, low, high=np.inf, closed=True):
     """Reject ``value`` unless it is real, or an array of reals, with every
     entry in [low, high) (``closed``) or (low, high); NaN never passes."""

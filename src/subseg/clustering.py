@@ -195,6 +195,7 @@ def kmeans(X, n, restarts=10, seed=0):
     """
     check_count("n", n, 1)
     check_count("restarts", restarts, 1)
+    check_count("seed", seed, 0)
     X = np.asarray(X, dtype=float)
     if n > X.shape[0]:
         raise ValueError("n must be <= number of points")

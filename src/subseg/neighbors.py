@@ -14,12 +14,16 @@ instead of one k-element reduction per row, and AVX-512 ufuncs write
 aligned buffers at about twice the speed of the 16 mod 64 ones numpy
 allocates.  The loop writes into preallocated buffers and steps every
 row of a block on every iteration; each row's result is recorded at the
-iteration it converges.  Every step, the stopping-test norms included,
-acts on each row alone and sums a row's candidates left to right, so a
-row's result (coefficients, iterations, flags and residual norms) is the
-same bits in any batch and any block.  Its iterates equal those of a
-plain per-row loop with a left-to-right sum bit for bit; only the
-reported residual norms may differ from np.linalg.norm in the last ulp.
+iteration it converges.  The stopping test's dual half (||u||,
+||z - z_prev||) is formed every iteration, its primal half (||c||, ||z||,
+||c - z||) only when an active row passes the dual half, a few percent
+of iterations, and at the cap, whose rows report their last residuals.
+Every step, the stopping-test norms included, acts on each row alone
+and sums a row's candidates left to right, so a row's result
+(coefficients, iterations, flags and residual norms) is the same bits
+in any batch and any block.  Its iterates equal those of a plain per-row
+loop with a left-to-right sum bit for bit; only the reported residual
+norms may differ from np.linalg.norm in the last ulp.
 
 The NSI distance matrix is the stage's only P x P array: the candidate
 search runs on row blocks of it, and it is released once the (P, k)
@@ -335,8 +339,9 @@ def _admm_block(thresh_rows, H_rows, H_sum_rows, max_iter):
 
     Every update is written into buffers allocated before the loop.  The
     iterate c, z, u and the residual vectors c - z and z - z_prev live in
-    two (5, k, rows) stacks that swap roles each iteration, so the five
-    norms of every row take one contraction.
+    two (5, k, rows) stacks that swap roles each iteration.  Each half of
+    the stopping test squares adjacent slots into the update scratch and
+    sums them over the candidate axis; a row stops only where both pass.
     """
     R, k = H_rows.shape
     width = max(R, 2)
@@ -351,15 +356,16 @@ def _admm_block(thresh_rows, H_rows, H_sum_rows, max_iter):
     s_out = np.empty(width)
     iterations = np.empty(width, dtype=int)
     active = np.ones(width, dtype=bool)
-    # stack rows: c, z, u, c - z, z - z_prev
+    # stack rows: c, z, c - z (primal half), u, z - z_prev (dual half)
     cur = _aligned_stack(5, (k, width))
     cur[:2] = 1.0 / k
     cur[2:] = 0.0
     nxt = _aligned_stack(5, (k, width))
-    w, v, tmp = _aligned_stack(3, (k, width))
+    squares = _aligned_stack(3, (k, width))    # also the update scratch
+    w, tmp, v = squares
     nu, eps_pri, eps_dual = _aligned_stack(3, (width,))
     norms = _aligned_stack(5, (width,))
-    c_norm, z_norm, u_norm, r, s = norms
+    c_norm, z_norm, r, u_norm, s = norms
     done, passed = np.empty((2, width), dtype=bool)
     eps_abs = np.sqrt(k) * _TOL_ABS
 
@@ -371,8 +377,8 @@ def _admm_block(thresh_rows, H_rows, H_sum_rows, max_iter):
         iterations[rows] = it
 
     for it in range(1, max_iter + 1):
-        z, u = cur[1], cur[2]
-        c_new, z_new, u_new = nxt[0], nxt[1], nxt[2]
+        z, u = cur[1], cur[3]
+        c_new, z_new, u_new = nxt[0], nxt[1], nxt[3]
         # w = H*(z - u); c = w - nu*H with nu = (1^T w - 1)/1^T H
         np.subtract(z, u, out=w)
         np.multiply(H, w, out=w)
@@ -387,22 +393,31 @@ def _admm_block(thresh_rows, H_rows, H_sum_rows, max_iter):
         np.minimum(tmp, thresh, out=tmp)
         np.subtract(v, tmp, out=z_new)
         np.subtract(v, z_new, out=u_new)
-        np.subtract(c_new, z_new, out=nxt[3])
         np.subtract(z_new, z, out=nxt[4])
+        cur, nxt = nxt, cur
 
-        np.einsum("ijk,ijk->ik", nxt, nxt, out=norms)
-        np.sqrt(norms, out=norms)
+        # dual half: ||u||, s = ||z - z_prev|| and eps_dual
+        np.multiply(cur[3:], cur[3:], out=squares[:2])
+        np.add.reduce(squares[:2], axis=1, out=norms[3:])
+        np.sqrt(norms[3:], out=norms[3:])
+        np.multiply(_TOL_REL, u_norm, out=eps_dual)
+        np.add(eps_abs, eps_dual, out=eps_dual)
+        # a NaN residual compares false, so its row stays active
+        np.less_equal(s, eps_dual, out=passed)
+        passed &= active
+        # count_nonzero tests a bool array in a fraction of any()'s time
+        if not np.count_nonzero(passed) and it < max_iter:
+            continue
+        # primal half: ||c||, ||z||, r = ||c - z|| and eps_pri
+        np.subtract(cur[0], cur[1], out=cur[2])
+        np.multiply(cur[:3], cur[:3], out=squares)
+        np.add.reduce(squares, axis=1, out=norms[:3])
+        np.sqrt(norms[:3], out=norms[:3])
         np.maximum(c_norm, z_norm, out=eps_pri)
         np.multiply(_TOL_REL, eps_pri, out=eps_pri)
         np.add(eps_abs, eps_pri, out=eps_pri)
-        np.multiply(_TOL_REL, u_norm, out=eps_dual)
-        np.add(eps_abs, eps_dual, out=eps_dual)
-        cur, nxt = nxt, cur
-        # a NaN residual compares false, so its row stays active
         np.less_equal(r, eps_pri, out=done)
-        np.less_equal(s, eps_dual, out=passed)
         done &= passed
-        done &= active
         if done.any():
             record(done, it)
             active &= ~done

@@ -41,6 +41,13 @@ def subspace_basis(columns, rank_tol=DEFAULT_RANK_TOL):
     the truncation a saturated neighbor set would span the whole global
     space and zero out every residual.
     """
+    check_range("rank_tol", rank_tol, 0, 1)
+    return _truncated_basis(columns, rank_tol)
+
+
+def _truncated_basis(columns, rank_tol):
+    """``subspace_basis`` without its check, which ``build_error_matrix``
+    makes once instead of once per row (about 10 us a call)."""
     columns = np.atleast_2d(columns)
     if columns.shape[1] == 0:
         raise ValueError("member set must be nonempty")
@@ -72,7 +79,7 @@ def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
     subspaces = []
     for i in range(P):
         members = support.indices[support.indptr[i]:support.indptr[i + 1]]
-        B, rank = subspace_basis(G[:, members], rank_tol)
+        B, rank = _truncated_basis(G[:, members], rank_tol)
         np.subtract(G, B @ (B.T @ G), out=residual)
         np.square(residual, out=residual)
         np.sum(residual, axis=0, out=E[i])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_count, check_range
+from ._checks import check_count, check_range, check_seed
 
 
 class FrameMismatch(ValueError):
@@ -165,6 +165,7 @@ def make_motion_track(seed, frames, rotation_rate, translation_rate):
     The rotation axis and translation direction are drawn once from the
     seed; frame f then carries step^(f-1).  Deterministic for a fixed seed.
     """
+    check_seed(seed)
     check_count("frames", frames, 1)
     # imported here so that ``import subseg`` does not load scipy.spatial
     from scipy.spatial.transform import Rotation
@@ -222,6 +223,7 @@ def corrupt(W, noise_sigma, missing_rate, seed):
     """
     check_range("noise_sigma", noise_sigma, 0)
     check_range("missing_rate", missing_rate, 0, 1)
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
     data = W.data.copy()

@@ -70,7 +70,8 @@ def test_project_scene_matches_per_frame_reference():
     for trial in range(20):
         n = int(rng.integers(1, 4))
         frames = int(rng.integers(3, 12))
-        motions = [make_motion_track(seed=[trial, k], frames=frames,
+        motions = [make_motion_track(seed=np.random.SeedSequence([trial, k]),
+                                     frames=frames,
                                      rotation_rate=rng.uniform(0.0, 0.4),
                                      translation_rate=rng.uniform(0.0, 2.0))
                    for k in range(n)]
