@@ -66,7 +66,6 @@ def build_parser():
                      help="solver weight scale, 'auto' or a value")
     seg.add_argument("--sigma-e", default="auto",
                      help="error similarity scale, 'auto' or a value")
-    seg.add_argument("--affinity-raw-error", action="store_true")
     seg.add_argument("--seed", type=int, default=config.seed)
     seg.add_argument("--labels-out", default=None,
                      help="labels output path (default: <input>.labels)")
@@ -135,8 +134,7 @@ def cmd_segment(args):
             projector=args.projector, m=args.m, gamma=args.gamma,
             neighbors=args.neighbors, lam=args.lam,
             sigma=_auto_or_float(args.sigma),
-            sigma_e=_auto_or_float(args.sigma_e),
-            raw_error=args.affinity_raw_error, seed=args.seed)
+            sigma_e=_auto_or_float(args.sigma_e), seed=args.seed)
         labeling, report = clustering.segment(W, config)
     except np.linalg.LinAlgError as exc:
         return _fail(EXIT_PIPELINE, f"pipeline failed: {exc}")

@@ -6,7 +6,8 @@ the symmetrized graph yields the motion labels.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import eigh
@@ -30,7 +31,7 @@ class Affinity:
 
     A: np.ndarray
     n_components: int
-    sigma_e: float
+    sigma_e: float | None
 
 
 @dataclass
@@ -54,34 +55,34 @@ class SpectralEmbedding:
 class SegmentConfig:
     """Pipeline settings, checked before any stage runs; defaults follow
     the method's reference settings (m=5, gamma=0.01, mu_j=1/j,
-    neighbors=20)."""
+    neighbors=20).  The class constants are the fixed values ``segment``
+    passes to the stages; no caller sets them."""
 
     n: int
     projector: str = "spca"
     m: int = 5
     gamma: float = 0.01
-    mu: np.ndarray = None
     neighbors: int = 20
     lam: float = 0.07
     sigma: float = None          # None = mean candidate distance per row
     sigma_e: float = None        # None = median positive residual
-    raw_error: bool = False
-    rank_tol: float = se.DEFAULT_RANK_TOL
-    restarts: int = 10
     seed: int = 0
-    admm: nb.AdmmParams = field(default_factory=nb.AdmmParams)
+
+    mu: ClassVar = None                      # mu_j = 1/j
+    rank_tol: ClassVar = se.DEFAULT_RANK_TOL
+    restarts: ClassVar = 10
+    admm: ClassVar = nb.AdmmParams()
+    raw_error: ClassVar = False
 
     def __post_init__(self):
         check_count("n", self.n, 1)
-        check_count("restarts", self.restarts, 1)
         check_count("seed", self.seed, 0)
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
-        # SpcaParams owns the m, gamma and mu rules; they hold under
+        # SpcaParams owns the m and gamma rules; they hold under
         # either projector
-        pj.SpcaParams(self.m, gamma=self.gamma, mu=self.mu)
+        pj.SpcaParams(self.m, gamma=self.gamma)
         check_count("neighbors", self.neighbors, 1)
-        check_range("rank_tol", self.rank_tol, 0, 1)
         check_range("lambda", self.lam, 0)
         for name in ("sigma", "sigma_e"):
             if getattr(self, name) is not None:
@@ -190,8 +191,11 @@ def spectral_embed(L, n):
 def kmeans(X, n, restarts=10, seed=0):
     """Seeded k-means++ with Lloyd iterations; best inertia over restarts.
 
-    Empty clusters are re-seeded at the point farthest from its centroid.
-    Deterministic for a fixed seed.
+    When a Lloyd step leaves clusters empty, each one, before any center
+    moves, takes a different point: the one farthest from its center
+    among the clusters that keep another member.  So every one of the n
+    labels is used whenever X has at least n rows, coincident rows
+    included.  Deterministic for a fixed seed.
     """
     check_count("n", n, 1)
     check_count("restarts", restarts, 1)
@@ -300,15 +304,18 @@ def _lloyd(X, centers, n):
     for _ in range(_LLOYD_MAX_ITER):
         sq = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(sq, axis=1)
-        for k in range(n):
-            members = new_labels == k
-            if not np.any(members):
-                # re-seed an empty cluster at the farthest point
-                far = int(np.argmax(np.min(sq, axis=1)))
-                centers[k] = X[far]
+        counts = np.bincount(new_labels, minlength=n)
+        if not counts.all():
+            # re-seed every empty cluster before any center moves
+            dist = np.min(sq, axis=1)
+            for k in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[new_labels] > 1, dist,
+                                             -np.inf)))
+                counts[new_labels[far]] -= 1
+                counts[k] = 1
                 new_labels[far] = k
-                members = new_labels == k
-            centers[k] = X[members].mean(axis=0)
+        for k in range(n):
+            centers[k] = X[new_labels == k].mean(axis=0)
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels

@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 from subseg import cli
+from subseg.neighbors import SolverStall
 from subseg.synthcam import SceneConfig, make_scene, read_trajectory
 
 
 def run(args):
-    return cli.main(args)
+    # argparse rejects an unknown option with SystemExit(2)
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -65,9 +70,10 @@ def test_generate_defaults_follow_scene_config(tmp_path):
     ("--translation-rate", "1e308", "trajectory coordinates must be finite"),
     ("--noise-sigma", "inf", "noise_sigma"),
     ("--noise-sigma", "nan", "noise_sigma"),
+    ("--points-per-motion", "60,x", "points_per_motion: cannot parse"),
 ], ids=["n-motions-0", "seed-negative", "rotation-nan", "rotation-inf",
         "rotation-1e308", "translation-inf", "translation-1e308", "noise-inf",
-        "noise-nan"])
+        "noise-nan", "points-per-motion-unparsed"])
 def test_generate_invalid_config_exit_2(tmp_path, capsys, option, value,
                                        message):
     out = tmp_path / "x.traj"
@@ -137,8 +143,12 @@ def _set_first_entry(lines, row, token):
     (lambda lines: _set_first_entry(lines, 81, "9" * 20), "too large"),
     (lambda lines: [lines[0].rsplit(maxsplit=1)[0] + " -1"] + lines[1:],
      "negative motion count -1"),
+    (lambda lines: ["20 61 2"] + lines[1:], "bad shape"),
+    (lambda lines: lines[:81] + [lines[81].rsplit(maxsplit=1)[0]],
+     "bad labels"),
 ], ids=["not-a-trajectory", "mask-token-7", "mask-token-1.0",
-        "line-after-labels", "label-overflow", "negative-motion-count"])
+        "line-after-labels", "label-overflow", "negative-motion-count",
+        "header-one-point-more", "labels-one-short"])
 def test_segment_parse_failure_exit_3(tmp_path, scene_file, capsys, edit,
                                       message):
     bad = tmp_path / "bad.traj"
@@ -202,7 +212,7 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--n", "61"], "n = 61 exceeds the 60 trajectories"),
     (["--m", "41"], "m = 41 exceeds min(2F, P) = 40"),
     (["--m", "41", "--projector", "pca"], "m = 41 exceeds min(2F, P) = 40"),
-    (["--sigma-e", "0", "--affinity-raw-error"], "sigma_e must be > 0"),
+    (["--affinity-raw-error"], "unrecognized arguments: --affinity-raw-error"),
     (["--projector", "nope"], "projector must be 'pca' or 'spca'"),
     (["--sigma", "nan"], "sigma must be > 0 and finite"),
     (["--lambda", "nan"], "lambda must be >= 0 and finite"),
@@ -215,6 +225,7 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
      "gamma entries must be >= 0 and finite"),
     (["--seed", "-1"], "seed must be an integer >= 0"),
     (["--gamma", "-1e-3"], "gamma entries must be >= 0"),
+    (["--sigma", "abc"], "expected 'auto' or a number, got 'abc'"),
 ])
 def test_segment_rejected_request_exit_2(tmp_path, scene_file, capsys,
                                          options, message):
@@ -248,6 +259,45 @@ def test_segment_zero_trajectory_exit_2(tmp_path, scene_file, capsys):
     assert run(["segment", str(bad), "--labels-out", str(tmp_path / "l")]) == 2
     err = capsys.readouterr().err
     assert "projected trajectory 5 is numerically zero" in err
+
+
+def test_segment_all_zero_trajectories_exit_2(tmp_path, scene_file, capsys):
+    lines = scene_file.read_text().splitlines()
+    zero = " ".join(["0"] * 60)
+    bad = tmp_path / "zero.traj"
+    bad.write_text("\n".join(lines[:1] + [zero] * 40 + lines[41:]) + "\n")
+    capsys.readouterr()
+    assert run(["segment", str(bad), "--labels-out", str(tmp_path / "l")]) == 2
+    assert "trajectory matrix is zero" in capsys.readouterr().err
+
+
+def test_unlabeled_file_needs_n_and_cannot_be_scored(tmp_path, scene_file,
+                                                     capsys):
+    # header count 0 and label line "-": the motion count is unknown
+    lines = scene_file.read_text().splitlines()
+    lines[0] = lines[0].rsplit(maxsplit=1)[0] + " 0"
+    unlabeled = tmp_path / "unlabeled.traj"
+    unlabeled.write_text("\n".join(lines[:-1] + ["-"]) + "\n")
+    labels_path = tmp_path / "pred.labels"
+    labels_path.write_text("0\n" * 60)
+    capsys.readouterr()
+    assert run(["segment", str(unlabeled), "--labels-out",
+                str(tmp_path / "l")]) == 2
+    assert "number of motions unknown" in capsys.readouterr().err
+    assert run(["eval", str(unlabeled), str(labels_path)]) == 3
+    assert "carries no labels" in capsys.readouterr().err
+    assert run(["segment", str(unlabeled), "--n", "2", "--labels-out",
+                str(tmp_path / "l")]) == 0
+
+
+def test_segment_stalled_rows_reported_exit_0(tmp_path, scene_file, capsys):
+    labels_path = tmp_path / "pred.labels"
+    capsys.readouterr()
+    with pytest.warns(SolverStall):
+        assert run(["segment", str(scene_file), "--lambda", "1e6",
+                    "--labels-out", str(labels_path)]) == 0
+    assert len(labels_path.read_text().splitlines()) == 60
+    assert "stalled solver rows:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, RuntimeError])

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,8 @@ import subseg
 from subseg.clustering import (SegmentConfig, build_affinity, kmeans,
                                normalized_laplacian, segment, spectral_embed)
 from subseg.metrics import misclassification
-from subseg.neighbors import solve_all_neighbors, weight_matrix
-from subseg.projection import pca_project
+from subseg.neighbors import AdmmParams, solve_all_neighbors, weight_matrix
+from subseg.projection import SpcaParams, pca_project
 from subseg.subspace_error import ErrorMatrix, build_error_matrix
 from subseg.synthcam import Labeling, SceneConfig, make_scene
 
@@ -163,6 +165,34 @@ def test_kmeans_deterministic():
     a = kmeans(X, 3, seed=5)
     b = kmeans(X, 3, seed=5)
     assert np.array_equal(a.labels, b.labels)
+
+
+@st.composite
+def coincident_rows(draw):
+    """2-12 rows drawn from at most four points, so rows often coincide,
+    and a cluster count n <= P."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-5, 5),
+                         min_size=dim, max_size=4 * dim))
+    points = np.resize(np.array(pool), (len(pool) // dim, dim))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=2,
+                          max_size=12))
+    X = points[picks]
+    return X, draw(st.integers(1, X.shape[0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coincident_rows())
+@example((np.repeat([[0.0], [1.0]], 3, axis=0), 4))
+@example((np.zeros((5, 2)), 3))
+def test_kmeans_uses_every_label_on_coincident_rows(case):
+    """Clusters left empty in one Lloyd step each take a different point,
+    so all n labels are used; all-coincident rows also run k-means++'s
+    zero-distance draw."""
+    X, n = case
+    labeling = kmeans(X, n, seed=1)
+    assert np.unique(labeling.labels).size == n
+    assert np.array_equal(kmeans(X, n, seed=1).labels, labeling.labels)
 
 
 def clique_error(groups, P):
@@ -464,18 +494,44 @@ def test_segment_config_validation():
     ("lam", -1.0), ("lam", np.nan), ("lam", np.inf),
     ("seed", -1), ("seed", 2.5), ("seed", True)])
 def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
-    # the messages name "lambda" for lam, which the pattern "lam" matches
-    with pytest.raises(ValueError, match=field):
+    # the messages name "lambda" for lam, which the pattern "lam" matches;
+    # restarts and rank_tol are class constants: no value is accepted
+    error = TypeError if field in ("restarts", "rank_tol") else ValueError
+    with pytest.raises(error, match=field):
         SegmentConfig(**{"n": 2, field: value})
 
 
 def test_segment_config_accepts_boundary_counts_and_rank_tol():
     config = SegmentConfig(n=np.int64(2), m=np.int64(1),
-                           neighbors=np.int64(1), restarts=1, rank_tol=0.0,
-                           lam=0.0, sigma=1e-300, sigma_e=1e-300,
-                           seed=np.int64(0))
-    assert (config.neighbors, config.restarts, config.rank_tol) == (1, 1, 0.0)
-    SegmentConfig(n=2, rank_tol=np.nextafter(1.0, 0.0))
+                           neighbors=np.int64(1), lam=0.0, sigma=1e-300,
+                           sigma_e=1e-300, seed=np.int64(0))
+    assert (config.neighbors, config.lam) == (1, 0.0)
+    # the functions that take restarts and rank_tol accept their bounds
+    X = np.random.default_rng(8).normal(size=(6, 2))
+    assert kmeans(X, 2, restarts=1).n == 2
+    G = pca_project(subseg.TrajectoryMatrix.from_dense(X.T), 2)
+    for rank_tol in (0.0, np.nextafter(1.0, 0.0)):
+        build_error_matrix(G, np.zeros((6, 6)), rank_tol)
+
+
+def test_segment_config_fields_are_the_nine_settings():
+    assert {f.name for f in dataclasses.fields(SegmentConfig)} == {
+        "n", "projector", "m", "gamma", "neighbors", "lam", "sigma",
+        "sigma_e", "seed"}
+    for name in ("mu", "rank_tol", "restarts", "admm", "raw_error"):
+        with pytest.raises(TypeError, match=name):
+            SegmentConfig(n=2, **{name: getattr(SegmentConfig, name)})
+
+
+def test_segment_config_constants_are_the_function_defaults():
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert SegmentConfig.restarts == default(kmeans, "restarts")
+    assert SegmentConfig.rank_tol == default(build_error_matrix, "rank_tol")
+    assert SegmentConfig.raw_error == default(build_affinity, "raw_error")
+    assert SegmentConfig.mu is default(SpcaParams, "mu")
+    assert SegmentConfig.admm == AdmmParams()
 
 
 @pytest.mark.parametrize("n,restarts", [(0, 10), (-1, 10), (2, 0), (2, -3),

@@ -213,6 +213,7 @@ def test_single_motion_blocks_rank_property():
     dict(points_per_motion=60.5),
     dict(points_per_motion=(60, 60.5)),
     dict(points_per_motion=(True, 60)),
+    dict(points_per_motion=(10, 10, 10)),   # n_motions is 2
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -279,6 +280,36 @@ def test_trajectory_file_golden_text(tmp_path):
             assert labels2 is None
         else:
             assert labels2.labels.tolist() == [0, 1, 1] and labels2.n == 2
+
+
+_TRACK = make_motion_track(seed=1, frames=3, rotation_rate=0.1,
+                           translation_rate=0.05)
+_CLOUD = PointCloud3D(np.arange(12.0).reshape(3, 4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PointCloud3D(np.ones((3, 3))), "need at least 4 points"),
+    (lambda: PointCloud3D(np.ones((2, 5))), "points must be 3 x P_k"),
+    (lambda: PointCloud3D(np.r_[np.ones((2, 5)), [[np.nan] + [1.0] * 4]]),
+     "points must be finite"),
+    (lambda: MotionTrack(np.ones((2, 3, 2)), np.zeros((2, 3))),
+     "need (F,3,3) rotations"),
+    (lambda: project_scene([], []), "need at least one motion"),
+    (lambda: project_scene([_TRACK], [_CLOUD, _CLOUD]),
+     "need one point cloud per motion"),
+    (lambda: TrajectoryMatrix.from_dense(np.ones((3, 4))),
+     "data must be 2F x P"),
+    (lambda: TrajectoryMatrix(np.ones((4, 3)), np.ones((4, 2), dtype=bool)),
+     "mask must match data shape"),
+    (lambda: Labeling(np.zeros((2, 3), dtype=int), 1),
+     "labels must be one-dimensional"),
+], ids=["cloud-3-points", "cloud-2x5", "cloud-nan", "track-2x3x2",
+        "scene-no-motion", "scene-cloud-count", "trajectory-odd-rows",
+        "trajectory-mask-shape", "labels-2d"])
+def test_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert message in str(info.value)
 
 
 def test_masked_entries_must_be_zero():
