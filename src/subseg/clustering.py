@@ -5,6 +5,7 @@ derived from the subspace residuals; normalized spectral clustering on
 the symmetrized graph yields the motion labels.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -94,50 +95,95 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
 
     The residual enters as exp(-e/sigma_e) so small error (same local
     subspace) means strong connection; the literal absolute-error variant
-    stays available behind ``raw_error`` for comparison.  E is consumed:
-    B = exp(-E/sigma_e) (or |E|) is formed in E's buffer and |Omega|, coerced
-    to a CSR array (a dense Omega stores its nonzeros), is added at its
-    stored entries.  B is then symmetrized tile by tile
-    (``neighbors.symmetrize``) into A, the one P x P array made.  The
-    automatic sigma_e, the exact median of E's positive entries, is taken
-    by partitioning a copy of those entries inside A's buffer before A is
-    written.  If some vertex links to every other one the graph is
+    stays available behind ``raw_error`` for comparison.  E is consumed,
+    and its buffer becomes the returned A: B = exp(-E/sigma_e) (or |E|) is
+    formed there, |Omega|, coerced to a CSR array (a dense Omega stores
+    its nonzeros), is added at its stored entries, and B is symmetrized
+    in place (``neighbors.symmetrize``).  The automatic sigma_e is the
+    exact median of E's positive entries, taken by selection
+    (``_positive_median``) without a copy of E.  So no P x P array is
+    made.  If some vertex links to every other one the graph is
     connected; only otherwise are the components counted on a sparse copy
     of the edge pattern.
     """
     if sigma_e is not None:
         check_range("sigma_e", sigma_e, 0, closed=False)
-    B = E.data
-    A = np.empty(B.shape)
+    A = E.data
     if raw_error:
-        np.abs(B, out=B)
+        np.abs(A, out=A)
         sigma_e = None
     else:
         if sigma_e is None:
-            # E's positive entries, in row-major order, copied row block
-            # by row block to the front of A's buffer
-            positive = A.reshape(-1)
-            count = 0
-            for block in nb.row_blocks(B.shape[0]):
-                rows = B[block]
-                kept = rows[rows > 0]
-                positive[count:count + kept.size] = kept
-                count += kept.size
-            sigma_e = (float(np.median(positive[:count], overwrite_input=True))
-                       if count else 1.0)
-        np.divide(B, -sigma_e, out=B)
-        np.exp(B, out=B)
+            sigma_e = _positive_median(A)
+        np.divide(A, -sigma_e, out=A)
+        np.exp(A, out=A)
     weights = csr_array(Omega).tocoo()
     weights.sum_duplicates()
-    B[weights.row, weights.col] += np.abs(weights.data)
-    nb.symmetrize(B, out=A)
+    A[weights.row, weights.col] += np.abs(weights.data)
+    nb.symmetrize(A)
     np.fill_diagonal(A, 0.0)
     P = A.shape[0]
-    if (np.count_nonzero(A, axis=1) == P - 1).any():
+    if any((np.count_nonzero(A[rows], axis=1) == P - 1).any()
+           for rows in nb.row_blocks(P)):
         n_comp = 1
     else:
         n_comp, _ = connected_components(csr_array(A > 0), directed=False)
     return Affinity(A, int(n_comp), sigma_e)
+
+
+def _positive_median(E):
+    """np.median(E[E > 0]) bit for bit, or 1.0 when no entry is positive,
+    found by selection without copying E (Floyd and Rivest, 1975).
+
+    The sample is a strided lattice view of about P^(4/3) entries,
+    E[a * s + b, a + b * s] with s about P^(1/3).  Unlike E[::s, ::s] it
+    visits every row and column about equally often, so rows whose
+    residuals sit at round-off are drawn in proportion.  The values of its
+    positive entries about 3 sqrt(n) sample ranks either side of its
+    middle bracket the middle rank(s) of all positive entries.  One
+    ``row_blocks`` pass counts the positive entries and those below the
+    bracket and gathers those inside it; the middle one or two gathered
+    entries are found by partition and averaged as np.median averages
+    them.  If the bracket misses, the missed side reaches four times as
+    far and the pass is repeated; past the sample's end a side is open,
+    so the last resort gathers every positive entry.
+    """
+    P = E.shape[0]
+    step = max(2, round(P ** (1 / 3)))
+    side = (P - 1) // (step + 1) + 1
+    down, right = E.strides
+    sample = np.lib.stride_tricks.as_strided(
+        E, (side, side), (step * down + right, down + step * right),
+        writeable=False)
+    sample = np.sort(sample[sample > 0])
+    size = sample.size
+    reach = [math.ceil(3 * math.sqrt(size))] * 2
+    while True:
+        low_rank = (size - 1) // 2 - reach[0]
+        high_rank = size // 2 + reach[1]
+        # x >= the smallest subnormal is x > 0
+        lo = sample[low_rank] if low_rank > 0 else np.nextafter(0.0, 1.0)
+        hi = sample[high_rank] if high_rank < size - 1 else np.inf
+        positive = at_least_lo = 0
+        inside = []
+        for block in nb.row_blocks(P):
+            rows = E[block]
+            positive += np.count_nonzero(rows > 0)
+            mask = rows >= lo
+            at_least_lo += np.count_nonzero(mask)
+            mask &= rows <= hi
+            inside.append(rows[mask])
+        if not positive:
+            return 1.0
+        below = positive - at_least_lo
+        middle = np.unique([(positive - 1) // 2, positive // 2]) - below
+        inside = np.concatenate(inside)
+        if middle[0] >= 0 and middle[-1] < inside.size:
+            return float(np.mean(np.partition(inside, middle)[middle]))
+        if middle[0] < 0:
+            reach[0] *= 4
+        if middle[-1] >= inside.size:
+            reach[1] *= 4
 
 
 def normalized_laplacian(A):
@@ -219,11 +265,12 @@ def segment(W, config):
     carries per-stage timings, eigenvalues, and solver diagnostics; its
     key set is versioned by ``report["schema"]``.
 
-    Only E and A are P x P: the neighbor stage keeps its NSI distance
-    matrix only for the candidate search, C and Omega are sparse, the
-    affinity is built in E's buffer and symmetrized into A, and the
-    Laplacian overwrites A.  So at most two P x P arrays (plus
-    block-sized scratch) are alive at once.
+    One P x P buffer serves every dense stage after the neighbor
+    stage, which keeps its NSI distance matrix only for the candidate
+    search and frees it before the solve; C and Omega are sparse.  E is
+    formed in it, the affinity A replaces E there (sigma_e by selection,
+    symmetrized in place) and the Laplacian replaces A.  So one P x P
+    array, plus tile-sized scratch, is alive at once.
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")
@@ -300,24 +347,39 @@ def _kmeanspp_init(X, n, rng):
 
 
 def _lloyd(X, centers, n):
-    labels = None
-    for _ in range(_LLOYD_MAX_ITER):
+    """Lloyd steps from ``centers``; returns the labels that step
+    ``_LLOYD_MAX_ITER`` would reach and their inertia about their means.
+
+    A step's labels depend only on the previous step's labels, whose
+    means are its centers.  So once a label vector recurs, the steps cycle
+    with the period found (1 once converged), and the last step's labels
+    are read off the cycle.  Coincident rows can cycle with a longer
+    period: the mean of identical rows can miss the row by an ulp, and
+    argmin ties between the centers then flip from step to step.
+    """
+    history, seen = [], {}
+    for step in range(_LLOYD_MAX_ITER):
         sq = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(sq, axis=1)
-        counts = np.bincount(new_labels, minlength=n)
+        labels = np.argmin(sq, axis=1)
+        counts = np.bincount(labels, minlength=n)
         if not counts.all():
             # re-seed every empty cluster before any center moves
             dist = np.min(sq, axis=1)
             for k in np.flatnonzero(counts == 0):
-                far = int(np.argmax(np.where(counts[new_labels] > 1, dist,
+                far = int(np.argmax(np.where(counts[labels] > 1, dist,
                                              -np.inf)))
-                counts[new_labels[far]] -= 1
+                counts[labels[far]] -= 1
                 counts[k] = 1
-                new_labels[far] = k
-        for k in range(n):
-            centers[k] = X[new_labels == k].mean(axis=0)
-        if labels is not None and np.array_equal(labels, new_labels):
+                labels[far] = k
+        first = seen.setdefault(labels.tobytes(), step)
+        if first < step:
+            period = step - first
+            labels = history[first + (_LLOYD_MAX_ITER - 1 - first) % period]
             break
-        labels = new_labels
+        history.append(labels)
+        for k in range(n):
+            centers[k] = X[labels == k].mean(axis=0)
+    for k in range(n):
+        centers[k] = X[labels == k].mean(axis=0)
     sq = np.sum((X - centers[labels]) ** 2, axis=1)
     return labels, float(sq.sum())

@@ -28,8 +28,10 @@ norms may differ from np.linalg.norm in the last ulp.
 The NSI distance matrix is the stage's only P x P array: the candidate
 search runs on row blocks of it, and it is released once the (P, k)
 candidate distances are gathered.  The coefficients C and the weights
-Omega are sparse, k stored entries per row.  The tiled ``symmetrize``
-serves the affinity, the one P x P sum that is not symmetric as built.
+Omega are sparse, k stored entries per row.  The tiled, in-place
+``symmetrize`` serves the affinity, the one P x P sum that is not
+symmetric as built; with ``row_blocks`` it lets the dense tail of the
+pipeline run in a single P x P buffer.
 """
 
 import math
@@ -51,7 +53,7 @@ _TOL_ABS, _TOL_REL = 1e-8, 1e-6    # ADMM stopping tolerances at rho = 1
 _BLOCK_ENTRIES = 10240
 
 # Side of the square tiles ``symmetrize`` works on: the tile pair one
-# step reads and the two it writes take 2 MB.  Row-block passes over
+# step reads and its scratch tile take 1.5 MB.  Row-block passes over
 # P x P arrays (``row_blocks``) take blocks of about one tile's entries.
 _TILE = 256
 
@@ -129,26 +131,31 @@ def nsi_dissimilarity_rows(subspace):
     return np.subtract(1.0, X), X
 
 
-def symmetrize(M, out):
-    """0.5 * (M + M.T) of a square M, written into ``out`` (not M itself)
-    tile pair by tile pair.
+def symmetrize(M):
+    """Replace a square M by 0.5 * (M + M.T) in place, tile pair by tile
+    pair, and return M.
 
     Each entry is (M[i, j] + M[j, i]) * 0.5, the same operations as the
     whole-matrix expression, so the result is the same bits and exactly
     symmetric.  A step reads a tile and its transposed partner, which
-    keeps the strided reads of M.T in cache, forms the upper tile in
-    ``out`` and mirrors it into the lower one.  Returns ``out``.
+    keeps the strided reads of M.T in cache, forms the upper tile in one
+    scratch tile of at most ``_TILE ** 2`` entries, writes it back and
+    mirrors it into the lower one.
     """
     P = M.shape[0]
+    scratch = np.empty((min(P, _TILE), min(P, _TILE)))
     for i in range(0, P, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, P, _TILE):
             cols = slice(j, j + _TILE)
-            tile = np.add(M[rows, cols], M[cols, rows].T, out=out[rows, cols])
+            upper = M[rows, cols]
+            tile = np.add(upper, M[cols, rows].T,
+                          out=scratch[:upper.shape[0], :upper.shape[1]])
             tile *= 0.5
+            upper[...] = tile
             if j > i:
-                out[cols, rows] = tile.T
-    return out
+                M[cols, rows] = tile.T
+    return M
 
 
 def row_blocks(P):

@@ -42,18 +42,21 @@ def subspace_basis(columns, rank_tol=DEFAULT_RANK_TOL):
     space and zero out every residual.
     """
     check_range("rank_tol", rank_tol, 0, 1)
-    return _truncated_basis(columns, rank_tol)
-
-
-def _truncated_basis(columns, rank_tol):
-    """``subspace_basis`` without its check, which ``build_error_matrix``
-    makes once instead of once per row (about 10 us a call)."""
     columns = np.atleast_2d(columns)
     if columns.shape[1] == 0:
         raise ValueError("member set must be nonempty")
-    U, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = max(1, int(np.count_nonzero(s > rank_tol * s[0])))
-    return U[:, :rank], rank
+    U, ranks = _stacked_bases(columns[None], rank_tol)
+    return U[0, :, :ranks[0]], int(ranks[0])
+
+
+def _stacked_bases(stack, rank_tol):
+    """Left singular vectors and truncated ranks of a (g, m, count) stack
+    of member column sets, from one batched SVD; basis j is
+    ``U[j, :, :ranks[j]]``.  A stacked SVD factors each matrix alone, so
+    every basis is the same bits as that of an SVD of its matrix alone."""
+    U, s, _ = np.linalg.svd(stack, full_matrices=False)
+    ranks = np.maximum(1, np.count_nonzero(s > rank_tol * s[:, :1], axis=1))
+    return U, ranks
 
 
 def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
@@ -65,23 +68,30 @@ def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
     members of every row come from one sparse union ``(Omega != 0) + I``
     on a CSR copy of Omega, which sums duplicate entries first: i itself
     and the columns whose summed entries are nonzero, in ascending order.
-    Each residual row is formed in one reused m x P buffer, so E is the
-    one P x P array made.  Returns the ErrorMatrix and the list of
-    LocalSubspace, one per point.
+    The rows with the same member count share one stacked SVD
+    (``_stacked_bases``).  Each residual row is formed in one reused
+    m x P buffer, so E is the one P x P array made.  Returns the
+    ErrorMatrix and the list of LocalSubspace, one per point.
     """
     check_range("rank_tol", rank_tol, 0, 1)
     G = subspace.data
     P = subspace.points
     support = ((csr_array(Omega, copy=True) != 0)
                + eye_array(P, dtype=bool, format="csr"))
+    counts = np.diff(support.indptr)
+    members = np.split(support.indices, support.indptr[1:-1])
+    subspaces = [None] * P
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        group = support.indices[support.indptr[rows, None] + np.arange(count)]
+        U, ranks = _stacked_bases(np.moveaxis(G[:, group], 0, 1), rank_tol)
+        for i, basis, rank in zip(rows, U, ranks.tolist()):
+            subspaces[i] = LocalSubspace(members[i], basis[:, :rank], rank)
     E = np.empty((P, P))
     residual = np.empty_like(G)
-    subspaces = []
-    for i in range(P):
-        members = support.indices[support.indptr[i]:support.indptr[i + 1]]
-        B, rank = _truncated_basis(G[:, members], rank_tol)
+    for i, local in enumerate(subspaces):
+        B = local.basis
         np.subtract(G, B @ (B.T @ G), out=residual)
         np.square(residual, out=residual)
         np.sum(residual, axis=0, out=E[i])
-        subspaces.append(LocalSubspace(members, B, rank))
     return ErrorMatrix(E), subspaces

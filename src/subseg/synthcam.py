@@ -290,9 +290,7 @@ def read_trajectory(path):
         F, P, n = (int(v) for v in lines[0].split())
         if n < 0:
             raise ValueError(f"negative motion count {n}")
-        # row by row, so only one row of token strings is alive at a time
-        data = np.array([np.array(line.split(), dtype=float)
-                         for line in lines[1:1 + 2 * F]])
+        data = _float_rows(lines[1:1 + 2 * F])
         bits = np.array([line.split() for line in lines[1 + 2 * F:1 + 4 * F]])
         label_row = lines[1 + 4 * F].split()
         if not np.isin(bits, ("0", "1")).all():
@@ -315,6 +313,20 @@ def read_trajectory(path):
     if labels.size != P:
         raise ValueError(f"malformed trajectory file {path}: bad labels")
     return W, Labeling(labels, n if n > 0 else int(labels.max()) + 1)
+
+
+def _float_rows(rows):
+    """Parse rows of numbers as float() parses each token, in one
+    ``np.loadtxt`` call.  loadtxt refuses a few tokens that float() takes
+    (``1_0``, non-ASCII digits, a lone carriage return) and takes none
+    that float() refuses; when it refuses, or there are no rows, the rows
+    are parsed one by one, which accepts them or names the fault."""
+    if rows:
+        try:
+            return np.loadtxt(rows, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    return np.array([np.array(row.split(), dtype=float) for row in rows])
 
 
 def _random_unit(rng):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 import subseg
-from subseg.clustering import (SegmentConfig, build_affinity, kmeans,
-                               normalized_laplacian, segment, spectral_embed)
+from subseg import neighbors as nb
+from subseg.clustering import (_LLOYD_MAX_ITER, SegmentConfig, _kmeanspp_init,
+                               _lloyd, _positive_median, build_affinity,
+                               kmeans, normalized_laplacian, segment,
+                               spectral_embed)
 from subseg.metrics import misclassification
 from subseg.neighbors import AdmmParams, solve_all_neighbors, weight_matrix
 from subseg.projection import SpcaParams, pca_project
@@ -52,6 +55,7 @@ def test_affinity_exactly_symmetric():
     Omega = rng.normal(size=(8, 8))
     E = ErrorMatrix(np.abs(rng.uniform(size=(8, 8))))
     A = build_affinity(Omega, E).A
+    assert np.shares_memory(A, E.data)
     assert np.max(np.abs(A - A.T)) == 0.0
     assert np.all(A >= 0)
     assert np.all(np.diag(A) == 0)
@@ -193,6 +197,63 @@ def test_kmeans_uses_every_label_on_coincident_rows(case):
     labeling = kmeans(X, n, seed=1)
     assert np.unique(labeling.labels).size == n
     assert np.array_equal(kmeans(X, n, seed=1).labels, labeling.labels)
+
+
+def every_step_lloyd(X, centers, n):
+    """Lloyd's loop that stops only when two consecutive label vectors
+    agree, else after _LLOYD_MAX_ITER steps; returns the labels, their
+    inertia and the steps run."""
+    labels = None
+    for step in range(1, _LLOYD_MAX_ITER + 1):
+        sq = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(sq, axis=1)
+        counts = np.bincount(new_labels, minlength=n)
+        if not counts.all():
+            dist = np.min(sq, axis=1)
+            for k in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[new_labels] > 1, dist,
+                                             -np.inf)))
+                counts[new_labels[far]] -= 1
+                counts[k] = 1
+                new_labels[far] = k
+        for k in range(n):
+            centers[k] = X[new_labels == k].mean(axis=0)
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    sq = np.sum((X - centers[labels]) ** 2, axis=1)
+    return labels, float(sq.sum()), step
+
+
+def assert_lloyd_matches_every_step(X, n, seed):
+    centers = _kmeanspp_init(X, n, np.random.default_rng(seed))
+    want_labels, want_inertia, steps = every_step_lloyd(X, centers.copy(), n)
+    labels, inertia = _lloyd(X, centers.copy(), n)
+    assert np.array_equal(labels, want_labels)
+    assert np.float64(inertia).tobytes() == np.float64(want_inertia).tobytes()
+    return steps
+
+
+def test_lloyd_reads_cycling_labels_off_the_cycle():
+    """Coincident rows flip between tied centers for every step; the
+    labels of the last step are read off the cycle."""
+    X = np.full((14, 2), 0.3)
+    assert assert_lloyd_matches_every_step(X, 4, 0) == _LLOYD_MAX_ITER
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coincident_rows(), st.integers(0, 3))
+def test_lloyd_matches_every_step_on_coincident_rows(case, seed):
+    assert_lloyd_matches_every_step(*case, seed)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lloyd_matches_every_step_on_continuous_rows(seed):
+    rng = np.random.default_rng(seed)
+    P = int(rng.integers(2, 60))
+    X = rng.normal(size=(P, int(rng.integers(1, 5))))
+    assert_lloyd_matches_every_step(X, int(rng.integers(1, min(P, 8) + 1)),
+                                    seed)
 
 
 def clique_error(groups, P):
@@ -395,11 +456,12 @@ def test_report_schema_pins_every_key(projector, extra):
                                        "active_fraction"}
 
 
-def test_segment_peak_memory_at_most_two_and_a_half_dense_arrays():
-    """Only E and A are P x P: the NSI distances are freed before the
-    solve, C and Omega are sparse, the affinity reuses E's buffer and the
-    Laplacian A's, so at most 2.5 P x P float arrays are allocated at
-    once."""
+def test_segment_peak_memory_at_most_one_and_a_half_dense_arrays():
+    """One P x P buffer serves the dense tail: the NSI distances are freed
+    before the solve, C and Omega are sparse, the affinity replaces E in
+    its buffer (sigma_e by selection, symmetrized in place) and the
+    Laplacian replaces A, so at most 1.5 P x P float arrays are allocated
+    at once."""
     P = 900
     W, _ = make_scene(SceneConfig(n_motions=3, points_per_motion=P // 3,
                                   seed=1))
@@ -409,7 +471,7 @@ def test_segment_peak_memory_at_most_two_and_a_half_dense_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * P * P * 8
+    assert peak <= 1.5 * P * P * 8
 
 
 @st.composite
@@ -429,12 +491,46 @@ def residual_matrices(draw):
 @example(np.array([[-0.0, 0.0], [2.5, -0.0]]))
 @example(np.array([[0.0, 1.0], [2.0, 2.0]]))
 def test_sigma_e_is_exact_median_of_positive_residuals(E):
-    """The median taken inside A's buffer is np.median(E[E > 0]) bit for
-    bit, and 1.0 when no entry is positive; multi-block sizes included."""
+    """The median taken by selection is np.median(E[E > 0]) bit for bit,
+    and 1.0 when no entry is positive; multi-block sizes included."""
     positive = E[E > 0]
     want = np.float64(np.median(positive) if positive.size else 1.0)
     got = build_affinity(np.zeros(E.shape), ErrorMatrix(E.copy())).sigma_e
     assert np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("P, sampled", [(300, 7.0), (300, 1e-9),
+                                        (257, 0.9), (61, 3.0)])
+def test_sigma_e_exact_when_sample_misses_median(P, sampled, monkeypatch):
+    """Sample entries far off the median make the bracket miss; the
+    widened passes still give np.median(E[E > 0]) bit for bit."""
+    E = np.random.default_rng(P).uniform(size=(P, P))
+    step = max(2, round(P ** (1 / 3)))
+    side = (P - 1) // (step + 1) + 1
+    a, b = np.indices((side, side))
+    E[a * step + b, a + b * step] = sampled
+    passes = []
+    row_blocks = nb.row_blocks
+    monkeypatch.setattr(nb, "row_blocks",
+                        lambda P: passes.append(P) or row_blocks(P))
+    want = np.float64(np.median(E[E > 0]))
+    assert np.float64(_positive_median(E)).tobytes() == want.tobytes()
+    assert len(passes) > 1
+
+
+def test_build_affinity_allocates_no_dense_array():
+    """sigma_e, the sum and the symmetrization take only block- and
+    tile-sized scratch: far less than one P x P array."""
+    P = 1000
+    E = np.random.default_rng(3).uniform(size=(P, P))
+    Omega = csr_array(np.eye(P, k=1))
+    tracemalloc.start()
+    try:
+        build_affinity(Omega, ErrorMatrix(E))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * P * P * 8
 
 
 def test_dense_and_csr_omega_give_same_error_affinity_and_laplacian():
