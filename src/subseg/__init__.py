@@ -29,7 +29,6 @@ from .projection import (
     pca_project,
 )
 from .neighbors import (
-    AdmmParams,
     SparseNeighborSolution,
     WeightMatrix,
     nsi_dissimilarity_rows,

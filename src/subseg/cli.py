@@ -143,10 +143,6 @@ def cmd_segment(args):
     except Exception as exc:
         return _fail(EXIT_PIPELINE, f"pipeline failed: {exc}")
 
-    if report["solver"]["stalled_rows"]:
-        print("stalled solver rows:",
-              " ".join(str(r) for r in report["solver"]["stalled_rows"]),
-              file=sys.stderr)
     outputs = [(args.labels_out or args.input + ".labels",
                 "\n".join(str(v) for v in labeling.labels) + "\n")]
     if args.report:

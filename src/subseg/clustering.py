@@ -57,7 +57,10 @@ class SegmentConfig:
     """Pipeline settings, checked before any stage runs; defaults follow
     the method's reference settings (m=5, gamma=0.01, mu_j=1/j,
     neighbors=20).  The class constants are the fixed values ``segment``
-    passes to the stages; no caller sets them."""
+    passes to the stages; no caller sets them.  ``mu``, ``admm``,
+    ``rank_tol`` and ``raw_error`` are kept for the benchmark's layer
+    replay (``bench/replay.py``) until that is replaced; the stages
+    ignore ``admm`` and ``rank_tol``."""
 
     n: int
     projector: str = "spca"
@@ -70,9 +73,9 @@ class SegmentConfig:
     seed: int = 0
 
     mu: ClassVar = None                      # mu_j = 1/j
-    rank_tol: ClassVar = se.DEFAULT_RANK_TOL
+    rank_tol: ClassVar = None
     restarts: ClassVar = 10
-    admm: ClassVar = nb.AdmmParams()
+    admm: ClassVar = None
     raw_error: ClassVar = False
 
     def __post_init__(self):
@@ -274,7 +277,7 @@ def segment(W, config):
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")
-    report = {"schema": 1, "stages": {}, "n": config.n,
+    report = {"schema": 2, "stages": {}, "n": config.n,
               "projector": config.projector}
     clock = time.perf_counter
 
@@ -296,25 +299,15 @@ def segment(W, config):
                                       admm=config.admm)
     Omega = nb.weight_matrix(solution.C, solution.X).Omega
     report["stages"]["sparse_neighbors"] = clock() - t0
-    stats, stalled_rows = solution.stats, solution.stalled_rows
+    report["solver"] = {"rows": W.points, "exact": True}
     del solution
-    converged = int(stats.converged.sum())
-    p50, p90 = np.percentile(stats.iterations, [50, 90])
-    report["solver"] = {
-        "rows": len(stats),
-        "rows_converged": converged,
-        "rows_capped": len(stats) - converged,
-        "stalled_rows": stalled_rows,
-        "max_primal_residual": float(stats.primal_residual.max()),
-        "mean_iterations": float(np.mean(stats.iterations)),
-        "iterations_p50": float(p50),
-        "iterations_p90": float(p90),
-        "iterations_max": int(stats.iterations.max()),
-    }
 
     t0 = clock()
-    E, _ = se.build_error_matrix(G, Omega, config.rank_tol)
+    E, subspaces = se.build_error_matrix(G, Omega, config.rank_tol)
     report["stages"]["error_matrix"] = clock() - t0
+    report["local_subspaces"] = {"members": len(subspaces[0].members),
+                                 "dim": subspaces[0].rank}
+    del subspaces
 
     t0 = clock()
     affinity = build_affinity(Omega, E, config.sigma_e, config.raw_error)

@@ -1,29 +1,33 @@
 """Local subspace bases and the point-to-subspace residual matrix.
 
-Point i together with its sparse neighbors spans local subspace i; the
-squared residual of every projected point against that subspace fills
-row i of a P x P error matrix whose block structure separates the
-motions.  `build_error_matrix` is the whole stage; `subspace_basis` is
-its local-rank decision.
+Point i and a few of the candidates its weight row stores span local
+subspace i, of a fixed dimension; the squared residual of every projected
+point against that subspace fills row i of a P x P error matrix whose
+block structure separates the motions.  `build_error_matrix` is the whole
+stage; `subspace_basis` is its local-dimension rule.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import csr_array
 
-from ._checks import check_range
+from . import neighbors as nb
 
-DEFAULT_RANK_TOL = 1e-6
+# Members per local subspace (K), point i included, and the largest local
+# dimension (d): 4 is the rank of one rigid motion under the affine camera
+# (Tron and Vidal, CVPR 2007).  K was chosen on hopkins-small seeds 1-2.
+LOCAL_MEMBERS = 6
+LOCAL_DIM = 4
 
 
 @dataclass
 class LocalSubspace:
-    """Orthonormal basis of the span of one point and its sparse neighbors."""
+    """Orthonormal basis of the local subspace of one point."""
 
-    members: np.ndarray   # sorted indices, {i} union support(omega_i)
-    basis: np.ndarray     # (m, m_i), orthonormal columns
-    rank: int
+    members: np.ndarray   # the point, then its chosen candidates in order
+    basis: np.ndarray     # (m, rank), orthonormal columns
+    rank: int             # the local dimension d
 
 
 @dataclass
@@ -34,64 +38,89 @@ class ErrorMatrix:
     data: np.ndarray
 
 
-def subspace_basis(columns, rank_tol=DEFAULT_RANK_TOL):
-    """Orthonormal basis of the member columns via SVD rank truncation.
+def subspace_basis(columns):
+    """The first d = min(LOCAL_DIM, m - 1, count - 1) left singular vectors
+    of the member columns, shape (m, count), or of each matrix of a
+    (g, m, count) stack, from one thin SVD.  Returns (basis, d).
 
-    Keeps singular directions with sigma_k > rank_tol * sigma_max; without
-    the truncation a saturated neighbor set would span the whole global
-    space and zero out every residual.
+    d is below both m and the member count, so a local subspace never
+    spans the whole global space nor fits its members exactly.  A stacked
+    SVD factors each matrix alone, so a basis is the same bits as that of
+    its matrix factored alone.
     """
-    check_range("rank_tol", rank_tol, 0, 1)
-    columns = np.atleast_2d(columns)
-    if columns.shape[1] == 0:
+    columns = np.asarray(columns, dtype=float)
+    m, count = columns.shape[-2:]
+    if count == 0:
         raise ValueError("member set must be nonempty")
-    U, ranks = _stacked_bases(columns[None], rank_tol)
-    return U[0, :, :ranks[0]], int(ranks[0])
+    d = max(0, min(LOCAL_DIM, m - 1, count - 1))
+    U = np.linalg.svd(columns, full_matrices=False)[0]
+    return U[..., :d], d
 
 
-def _stacked_bases(stack, rank_tol):
-    """Left singular vectors and truncated ranks of a (g, m, count) stack
-    of member column sets, from one batched SVD; basis j is
-    ``U[j, :, :ranks[j]]``.  A stacked SVD factors each matrix alone, so
-    every basis is the same bits as that of an SVD of its matrix alone."""
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    ranks = np.maximum(1, np.count_nonzero(s > rank_tol * s[:, :1], axis=1))
-    return U, ranks
+def _member_sets(G, Omega):
+    """(P, LOCAL_MEMBERS) member indices and the member count per row.
+
+    Row i holds i, then the columns Omega[i] stores with a nonzero weight
+    by descending |weight|, then those it stores with a zero weight by
+    NSI distance 1 - (g_i^T g_j)^2, computed for those pairs only; ties go
+    to the lower index, duplicate entries are summed first, and the
+    count stops at LOCAL_MEMBERS.
+    """
+    P = G.shape[1]
+    weights = csr_array(Omega, dtype=float, copy=True)
+    weights.sum_duplicates()
+    rows = np.repeat(np.arange(P), np.diff(weights.indptr))
+    other = weights.indices != rows
+    rows, cols = rows[other], weights.indices[other]
+    key = -np.abs(weights.data[other])
+    zero = key == 0
+    pairs = rows[zero], cols[zero]
+    dot = np.zeros(pairs[0].size)
+    for g in G:                # one coordinate at a time: no m x k*P copy
+        dot += g[pairs[0]] * g[pairs[1]]
+    key[zero] = 1.0 - np.minimum(dot * dot, 1.0)
+    order = np.lexsort((cols, key, zero, rows))
+    rows, cols = rows[order], cols[order]
+    stored = np.bincount(rows, minlength=P)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(stored) - stored, stored)
+    kept = rank < LOCAL_MEMBERS - 1
+    members = np.empty((P, LOCAL_MEMBERS), dtype=np.intp)
+    members[:, 0] = np.arange(P)
+    members[rows[kept], rank[kept] + 1] = cols[kept]
+    return members, 1 + np.minimum(stored, LOCAL_MEMBERS - 1)
 
 
-def build_error_matrix(subspace, Omega, rank_tol=DEFAULT_RANK_TOL):
-    """Local subspace i is spanned by point i and the support of Omega[i];
-    E[i, t] = ||g_t - B_i B_i^T g_t||^2 for every projected point g_t.
+def build_error_matrix(subspace, Omega, rank_tol=None):
+    """E[i, t] = ||g_t - B_i B_i^T g_t||^2 for every projected point g_t,
+    where B_i is the basis ``subspace_basis`` gives local subspace i.
 
-    With an orthonormal basis the Moore-Penrose inverse is the transpose,
-    so B B^T is the orthogonal projector onto the local subspace.  The
-    members of every row come from one sparse union ``(Omega != 0) + I``
-    on a CSR copy of Omega, which sums duplicate entries first: i itself
-    and the columns whose summed entries are nonzero, in ascending order.
-    The rows with the same member count share one stacked SVD
-    (``_stacked_bases``).  Each residual row is formed in one reused
-    m x P buffer, so E is the one P x P array made.  Returns the
+    The members of local subspace i are chosen from the entries Omega[i]
+    stores (``_member_sets``).  The rows with the same member count share
+    one stacked SVD.  E is formed in row blocks whose (rows, m, P)
+    residual buffer holds about one tile (``neighbors.row_blocks``), so E
+    is the one P x P array made.  ``rank_tol`` is ignored; it is kept for
+    the benchmark's layer replay until that is replaced.  Returns the
     ErrorMatrix and the list of LocalSubspace, one per point.
     """
-    check_range("rank_tol", rank_tol, 0, 1)
     G = subspace.data
-    P = subspace.points
-    support = ((csr_array(Omega, copy=True) != 0)
-               + eye_array(P, dtype=bool, format="csr"))
-    counts = np.diff(support.indptr)
-    members = np.split(support.indices, support.indptr[1:-1])
-    subspaces = [None] * P
+    m, P = G.shape
+    members, counts = _member_sets(G, Omega)
+    bases = np.zeros((P, m, max(0, min(LOCAL_DIM, m - 1))))
+    ranks = np.empty(P, dtype=int)
     for count in np.unique(counts):
         rows = np.flatnonzero(counts == count)
-        group = support.indices[support.indptr[rows, None] + np.arange(count)]
-        U, ranks = _stacked_bases(np.moveaxis(G[:, group], 0, 1), rank_tol)
-        for i, basis, rank in zip(rows, U, ranks.tolist()):
-            subspaces[i] = LocalSubspace(members[i], basis[:, :rank], rank)
+        U, ranks[rows] = subspace_basis(
+            np.moveaxis(G[:, members[rows, :count]], 0, 1))
+        bases[rows, :, :U.shape[-1]] = U
+    del U                      # bases holds every basis; free the last stack
+    subspaces = [LocalSubspace(members[i, :count], bases[i, :, :d], d)
+                 for i, (count, d) in enumerate(zip(counts.tolist(),
+                                                    ranks.tolist()))]
     E = np.empty((P, P))
-    residual = np.empty_like(G)
-    for i, local in enumerate(subspaces):
-        B = local.basis
-        np.subtract(G, B @ (B.T @ G), out=residual)
+    for block in nb.row_blocks(P, m * P):
+        B = bases[block]
+        residual = np.matmul(B, np.matmul(B.transpose(0, 2, 1), G))
+        np.subtract(G, residual, out=residual)
         np.square(residual, out=residual)
-        np.sum(residual, axis=0, out=E[i])
+        np.sum(residual, axis=1, out=E[block])
     return ErrorMatrix(E), subspaces

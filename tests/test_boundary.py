@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from subseg.clustering import SegmentConfig, kmeans, segment, spectral_embed
 from subseg.neighbors import search_area, solve_all_neighbors
 from subseg.projection import GlobalSubspace, pca_project
-from subseg.subspace_error import build_error_matrix, subspace_basis
 from subseg.synthcam import (Labeling, TrajectoryMatrix, corrupt,
                              make_motion_track)
 
@@ -68,10 +67,6 @@ _CALLS = {
         lambda value: make_motion_track(value, 3, 0.1, 1.0),
     ("corrupt", "noise_sigma"): lambda value: corrupt(_W, value, 0.0, 0),
     ("corrupt", "seed"): lambda value: corrupt(_W, 0.1, 0.0, value),
-    ("build_error_matrix", "rank_tol"): lambda value: build_error_matrix(
-        _G, np.zeros((6, 6)), rank_tol=value),
-    ("subspace_basis", "rank_tol"):
-        lambda value: subspace_basis(np.eye(3), value),
     ("Labeling", "n"): lambda value: Labeling(np.zeros(6, dtype=int), value),
 }
 
@@ -82,15 +77,12 @@ _CALLS = {
     ("search_area", "size", 2.5), ("solve_all_neighbors", "size", 2.5),
     ("pca_project", "m", 2.5), ("make_motion_track", "frames", 2.5),
     ("corrupt", "noise_sigma", np.nan), ("corrupt", "noise_sigma", np.inf),
-    ("build_error_matrix", "rank_tol", 5.0), ("Labeling", "n", 2.5),
+    ("solve_all_neighbors", "size", 0), ("Labeling", "n", 2.5),
     ("kmeans", "seed", 2.5), ("kmeans", "seed", -1), ("kmeans", "seed", True),
     ("make_motion_track", "seed", 2.5), ("make_motion_track", "seed", -1),
     ("make_motion_track", "seed", True), ("make_motion_track", "seed", [1]),
     ("corrupt", "seed", 2.5), ("corrupt", "seed", -1),
-    ("corrupt", "seed", None),
-    ("subspace_basis", "rank_tol", 5.0), ("subspace_basis", "rank_tol", 1.0),
-    ("subspace_basis", "rank_tol", -0.5),
-    ("subspace_basis", "rank_tol", np.nan)])
+    ("corrupt", "seed", None)])
 def test_public_function_rejects_bad_value(function, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         _CALLS[function, field](value)
@@ -107,10 +99,3 @@ def test_seeds_take_an_integer_or_a_seed_sequence():
                                             0.1, 1.0).rotations)
     assert kmeans(_X, 2, seed=np.int64(3)).n == 2
 
-
-def test_subspace_basis_accepts_rank_tol_bounds():
-    # [0, 1): zero keeps every nonzero direction, the float below 1 keeps
-    # only directions as strong as the first
-    cols = np.diag([1.0, 0.5, 0.0])
-    assert subspace_basis(cols, 0.0)[1] == 2
-    assert subspace_basis(cols, np.nextafter(1.0, 0.0))[1] == 1

@@ -1,5 +1,4 @@
-import dataclasses
-import warnings
+import itertools
 
 import numpy as np
 import pytest
@@ -9,9 +8,8 @@ from scipy.sparse import csr_array
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
-from subseg.neighbors import (AdmmParams, neighbor_objective,
-                              nsi_dissimilarity_rows, proximity_weights,
-                              search_area,
+from subseg.neighbors import (neighbor_objective, nsi_dissimilarity_rows,
+                              proximity_weights, search_area,
                               solve_all_neighbors, solve_sparse_neighbors,
                               symmetrize, weight_matrix)
 from subseg.projection import GlobalSubspace, pca_project
@@ -65,51 +63,6 @@ def simplex_grid_minimum(x, q, lam, step=1e-2):
                         improved = True
         delta /= 2.0
     return c, best
-
-
-def reference_admm(x, lam, max_iter):
-    """Plain one-row ADMM at rho = 1: the textbook update sequence,
-    np.linalg.norm residuals and the sign/abs soft threshold, stopping at
-    the first iteration that meets the module's tolerances.  nu takes the
-    left-to-right sum of w, the order the solver sums a row's candidates.
-
-    Returns (c, iterations, r, s, converged, stalled, dual_only), with c
-    reduced to the support of z and renormalized as the solver does;
-    dual_only counts the iterations whose dual residual passed its
-    tolerance while the primal residual did not.
-    """
-    k = x.size
-    sigma = x.mean() or 1.0
-    thresh = lam * proximity_weights(x, sigma)
-    H = 1.0 / (x ** 2 + 1.0)
-    H_sum = H.sum()
-    c = np.full(k, 1.0 / k)
-    z = c.copy()
-    u = np.zeros(k)
-    r = s = 0.0
-    converged = False
-    dual_only = 0
-    for it in range(1, max_iter + 1):
-        w = H * (z - u)
-        nu = (np.cumsum(w)[-1] - 1.0) / H_sum
-        c = w - nu * H
-        v = c + u
-        z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-        u = u + c - z_new
-        r = np.linalg.norm(c - z_new)
-        s = np.linalg.norm(z_new - z)
-        z = z_new
-        eps_pri = np.sqrt(k) * nb._TOL_ABS + nb._TOL_REL * max(
-            np.linalg.norm(c), np.linalg.norm(z))
-        eps_dual = np.sqrt(k) * nb._TOL_ABS + nb._TOL_REL * np.linalg.norm(u)
-        if r <= eps_pri and s <= eps_dual:
-            converged = True
-            break
-        dual_only += s <= eps_dual
-    kept = np.where(z != 0.0, c, 0.0)
-    if abs(kept.sum()) > 1e-3:
-        c = kept / kept.sum()
-    return c, it, r, s, converged, not converged and r > 1e-3, dual_only
 
 
 def unit_subspace(M):
@@ -257,6 +210,69 @@ def test_solver_matches_grid_oracle():
         assert neighbor_objective(c, x, q, lam) <= oracle + 1e-4
 
 
+def support_enumeration_minimum(x, t):
+    """Oracle: the exact minimizer by enumerating every support S.
+
+    On S the minimizer with 1^T c = 1 solves the KKT system
+    x_j^2 c_j - nu = -t_j (j in S), sum c_j = 1; a singular system (two
+    zero distances) or a negative coefficient rules S out.  The global
+    minimizer is nonnegative, so the best feasible S holds it.  Returns
+    (c, objective); among equal objectives the first S found is kept.
+    """
+    k = x.size
+    best_c, best = None, np.inf
+    for size in range(1, k + 1):
+        for S in map(list, itertools.combinations(range(k), size)):
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = np.diag(x[S] ** 2)
+            kkt[:size, size] = -1.0
+            kkt[size, :size] = 1.0
+            try:
+                sol = np.linalg.solve(kkt, np.r_[-t[S], 1.0])
+            except np.linalg.LinAlgError:
+                continue
+            if (sol[:size] < 0).any():
+                continue
+            c = np.zeros(k)
+            c[S] = sol[:size]
+            value = np.sum(t * c) + 0.5 * np.sum((x * c) ** 2)
+            if value < best - 1e-15:
+                best_c, best = c, value
+    return best_c, best
+
+
+def test_exact_solve_matches_support_enumeration():
+    """Every row is the exact minimizer: against the enumeration of all
+    supports, k <= 8, with tied thresholds, zero distances and lam = 0.
+    The objective and, where the minimizer is unique (no zero distance),
+    the coefficients agree to 1e-12; with zero distances every tied
+    minimizer puts all weight on one zero-distance candidate, the lowest
+    index."""
+    rng = np.random.default_rng(12)
+    cases = [(np.array([0.3, 0.3, 0.3, 0.6]), 0.07),      # tied thresholds
+             (np.array([0.0, 0.4, 0.0, 0.2]), 0.07),      # two zeros: index 0
+             (np.array([0.5, 0.2, 0.0]), 0.0),            # lam = 0, a zero
+             (np.array([0.5, 0.2, 0.9, 0.1]), 0.0),       # lam = 0: all kept
+             (np.array([0.4]), 0.07)]                     # k = 1
+    for _ in range(120):
+        k = int(rng.integers(1, 9))
+        x = rng.uniform(0.0, 1.0, size=k)
+        if rng.uniform() < 0.4:
+            x = np.round(x * 4) / 4                       # ties and zeros
+        cases.append((x, float(rng.choice([0.0, 0.07, rng.uniform(0.01, 3)]))))
+    for x, lam in cases:
+        c, stats = solve_sparse_neighbors(x, lam=lam)
+        q = proximity_weights(x, x.mean() or 1.0)
+        want_c, want = support_enumeration_minimum(x, lam * q)
+        assert abs(neighbor_objective(c, x, q, lam) - want) <= 1e-12
+        assert abs(c.sum() - 1.0) <= 1e-12 and (c >= 0).all()
+        if (x > 0).all():
+            assert np.max(np.abs(c - want_c)) <= 1e-12, (x, lam)
+        else:
+            assert c.tolist() == np.eye(x.size)[np.argmin(x)].tolist()
+        assert stats.converged and stats.iterations == 0
+
+
 def test_solver_deterministic():
     rng = np.random.default_rng(4)
     x = rng.uniform(size=15)
@@ -274,9 +290,9 @@ def test_batch_matches_per_row():
     for i, cand in enumerate(batch.candidates):
         c, stats = solve_sparse_neighbors(X[i, cand])
         assert np.array_equal(coeffs[i], c)
-        assert batch.stats[i].iterations == stats.iterations
-    # rows freeze at different iterations, so the check covers freezing
-    assert len({s.iterations for s in batch.stats}) > 1
+        assert batch.stats[i].tolist() == stats.tolist()
+    # supports of several sizes, so rows take different breakpoints
+    assert len(set(np.count_nonzero(coeffs, axis=1).tolist())) > 1
 
 
 def test_stats_are_one_record_array():
@@ -284,125 +300,30 @@ def test_stats_are_one_record_array():
     G = pca_project(W, 5)
     batch = solve_all_neighbors(G, size=10).stats
     single = solve_all_neighbors(G, size=1).stats  # one candidate per row
+    # the fields the benchmark replay reads, each constant for an exact solve
     for stats in (batch, single):
         assert isinstance(stats, np.recarray) and len(stats) == 40
-        assert stats.dtype.names == ("iterations", "primal_residual",
-                                     "dual_residual", "converged", "stalled")
-    assert single.dtype == batch.dtype
-    assert (single.iterations == 0).all() and single.converged.all()
-    assert not single.stalled.any()
-
-
-@pytest.mark.parametrize("max_iter", [1, 2, 5, 6, 2000])
-def test_solver_matches_reference_iterates(max_iter):
-    """The solver forms the primal half of its stopping test only when an
-    active row passes the dual half, or at the cap; the oracle forms both
-    halves every iteration.  At odd and even caps, and at a cap of one,
-    where the first iteration is also the last, the solver must give the
-    oracle's coefficients, iterations, flags and residuals."""
-    W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(20, 20),
-                                  noise_sigma=0.5))
-    G = pca_project(W, 5)
-    _, X = nsi_dissimilarity_rows(G)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sol = solve_all_neighbors(G, size=10,
-                                  admm=AdmmParams(max_iter=max_iter))
-    assert ([w.category for w in caught]
-            == [nb.SolverStall] * bool(sol.stalled_rows))
-    coeffs = sol.C.data.reshape(sol.candidates.shape)
-    frozen = set()
-    dual_only = 0
-    for i, cand in enumerate(sol.candidates):
-        c, it, r, s, converged, stalled, passes = reference_admm(
-            X[i, cand], 0.07, max_iter)
-        stats = sol.stats[i]
-        assert np.array_equal(coeffs[i], c)
-        assert stats.iterations == it
-        assert (stats.converged, stats.stalled) == (converged, stalled)
-        assert stats.primal_residual == pytest.approx(r, rel=1e-12, abs=0)
-        assert stats.dual_residual == pytest.approx(s, rel=1e-12, abs=0)
-        if converged:
-            frozen.add(it)
-        dual_only += passes
-    if max_iter < 2000:
-        # every row runs to the cap and reports its last residuals; a cap
-        # of 5 makes some rows stall
-        assert (sol.stats.iterations == max_iter).all()
-        assert max_iter != 5 or sol.stalled_rows
-    else:
-        # rows converge at different iterations while others run to the
-        # cap, and some row passes the dual half but not the primal half,
-        # so the primal half is formed where that row does not stop
-        assert len(frozen) > 1
-        assert any(not s.converged and not s.stalled for s in sol.stats)
-        assert dual_only > 0
+        assert stats.dtype.names == ("iterations", "converged", "stalled")
+        assert (stats.iterations == 0).all() and stats.converged.all()
+        assert not stats.stalled.any()
 
 
 def test_row_result_independent_of_batch_and_block():
-    """A row solved inside the whole batch, in a full, a partial or a
-    one-row last block, gives the same bits as the row solved alone:
-    coefficients, iterations, flags and both residual norms."""
-    for points_per_motion, size in [
-            ((301, 300), 20),    # a full block and a partial last block
-            ((257, 256), 20),    # P = 513: the last block holds one row
-            ((750, 750), 7)]:    # block slices of 7 * rows doubles, not 8 * n
+    """A row solved inside a batch of hundreds of rows gives the same bits
+    as the row solved alone, coefficients and stats, at every position:
+    the solve runs on the whole batch at once, with no blocks, and acts
+    on each row alone."""
+    for points_per_motion, size in [((301, 300), 20), ((257, 256), 20),
+                                    ((750, 750), 7)]:
         W, _ = make_scene(SceneConfig(points_per_motion=points_per_motion,
                                       seed=3))
         G = pca_project(W, 5)
-        block = nb._BLOCK_ENTRIES // size
-        P = G.points
-        assert block < P < 2 * block and P % 8 != 0
         sol = solve_all_neighbors(G, size=size)
-        # rows converge in either block, unless the last holds one row
-        converged = np.flatnonzero(sol.stats.converged)
-        assert converged.min() < block
-        assert P - block == 1 or converged.max() >= block
-        # capped rows spread over the batch, around the block boundary and
-        # at the end, and up to about 30 of the rows that converge
-        rows = np.union1d(
-            np.r_[0:P:P // 12, block - 2:min(block + 3, P), P - 9:P],
-            converged[::-(-converged.size // 30)])
         coeffs = sol.C.data.reshape(sol.X.shape)
-        for i in rows:
+        for i in range(G.points):
             c, stats = solve_sparse_neighbors(sol.X[i])
-            assert np.array_equal(coeffs[i], c), (P, size, i)
-            assert sol.stats[i].tolist() == stats.tolist(), (P, size, i)
-
-
-@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (6000,), (10240,),
-                                   (7, 3), (20, 512)])
-@pytest.mark.parametrize("count", [1, 5])
-def test_aligned_stack_slices_are_aligned(shape, count):
-    stack = nb._aligned_stack(count, shape)
-    assert stack.shape == (count,) + shape and stack.dtype == float
-    for i, part in enumerate(stack):
-        assert part.flags.c_contiguous and part.flags.writeable
-        assert part.ctypes.data % 64 == 0
-        part[...] = i
-    # the slices do not overlap
-    for i, part in enumerate(stack):
-        assert np.all(part == i)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("rho", 0.0), ("rho", np.nan), ("rho", -1.0), ("rho", np.inf),
-    ("tol_abs", -1e-8), ("tol_abs", np.nan), ("tol_rel", np.inf),
-    ("max_iter", -5), ("max_iter", 0), ("max_iter", 2.5),
-    ("max_iter", True)])
-def test_admm_params_reject_bad_values(field, value):
-    # the penalty and the tolerances are constants: no value is accepted
-    error = ValueError if field == "max_iter" else TypeError
-    with pytest.raises(error, match=field):
-        AdmmParams(**{field: value})
-
-
-def test_admm_params_accept_boundary_values():
-    params = AdmmParams(max_iter=np.int64(1))
-    c, stats = solve_sparse_neighbors(np.array([0.1, 0.5, 0.9]), admm=params)
-    assert stats.iterations == 1 and c.sum() == pytest.approx(1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        params.max_iter = -5
+            assert np.array_equal(coeffs[i], c), (G.points, size, i)
+            assert sol.stats[i].tolist() == stats.tolist()
 
 
 @pytest.mark.parametrize("P", [1, 255, 256, 257, 600])

@@ -2,31 +2,24 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from subseg.projection import GlobalSubspace
-from subseg.subspace_error import build_error_matrix, subspace_basis
+from subseg.neighbors import solve_all_neighbors, weight_matrix
+from subseg.projection import GlobalSubspace, pca_project
+from subseg.subspace_error import (LOCAL_DIM, LOCAL_MEMBERS,
+                                   build_error_matrix, subspace_basis)
+from subseg.synthcam import SceneConfig, make_scene
 
 
 def unit_subspace(M):
     return GlobalSubspace(M / np.linalg.norm(M, axis=0))
 
 
-def planted_two_subspace(rng, dim=5, per_block=20, angle_deg=30.0):
-    """Unit columns drawn from two planes sharing one direction, the other
-    directions separated by the given angle."""
-    theta = np.radians(angle_deg)
-    basis_a = np.zeros((dim, 2))
-    basis_a[0, 0] = 1.0
-    basis_a[1, 1] = 1.0
-    basis_b = np.zeros((dim, 2))
-    basis_b[2, 0] = 1.0
-    basis_b[1, 1] = np.cos(theta)
-    basis_b[3, 1] = np.sin(theta)
-    cols = []
-    for basis in (basis_a, basis_b):
-        coeff = rng.normal(size=(2, per_block))
-        cols.append(basis @ coeff)
-    M = np.hstack(cols)
-    return unit_subspace(M), np.r_[np.zeros(per_block), np.ones(per_block)]
+def planted_two_subspace(rng, dim=6, per_block=20):
+    """Unit columns drawn from two random rank-4 subspaces of R^dim, the
+    rank of one rigid motion's trajectories."""
+    cols = [np.linalg.qr(rng.normal(size=(dim, 4)))[0]
+            @ rng.normal(size=(4, per_block)) for _ in range(2)]
+    return (unit_subspace(np.hstack(cols)),
+            np.r_[np.zeros(per_block), np.ones(per_block)])
 
 
 def test_collect_degenerate_row():
@@ -44,52 +37,67 @@ def test_collect_one_hot():
 
 
 def test_collect_matches_nonzero_pattern():
+    """Without stored zeros the members are i, then the nonzero weights by
+    descending |weight|, at most LOCAL_MEMBERS in all."""
     rng = np.random.default_rng(0)
     G = unit_subspace(rng.normal(size=(12, 12)))
     Omega = np.zeros((12, 12))
     for i in range(5):
         Omega[i] = rng.normal(size=12) * (rng.uniform(size=12) < 0.3)
+    Omega[4] = rng.normal(size=12)       # more than LOCAL_MEMBERS entries
     _, subspaces = build_error_matrix(G, Omega)
+    lengths = set()
     for i in range(5):
-        expected = sorted(set(np.flatnonzero(Omega[i]).tolist()) | {i})
-        assert subspaces[i].members.tolist() == expected
+        support = [j for j in np.flatnonzero(Omega[i]) if j != i]
+        expected = [i] + sorted(support, key=lambda j: -abs(Omega[i, j]))
+        assert subspaces[i].members.tolist() == expected[:LOCAL_MEMBERS]
+        lengths.add(len(expected) > LOCAL_MEMBERS)
+    assert lengths == {False, True}
 
 
 def test_basis_single_member():
+    # a lone point fixes no direction: d = count - 1 = 0
     col = np.array([[0.6], [0.8], [0.0]])
     basis, rank = subspace_basis(col)
-    assert rank == 1
-    assert np.allclose(np.abs(basis[:, 0]), [0.6, 0.8, 0.0])
+    assert rank == 0 and basis.shape == (3, 0)
 
 
 def test_basis_two_orthogonal_members():
-    cols = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    # two members give d = 1, the stronger of the two directions
+    cols = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
     basis, rank = subspace_basis(cols)
-    assert rank == 2
-    assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
+    assert rank == 1
+    assert np.allclose(np.abs(basis[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_basis_planted_plane():
+    """Members drawn from a rank-4 subspace of R^6 give d = LOCAL_DIM and
+    a basis spanning exactly that subspace."""
     rng = np.random.default_rng(1)
-    plane = np.zeros((5, 2))
-    plane[1, 0] = 1.0
-    plane[3, 1] = 1.0
-    cols = plane @ rng.normal(size=(2, 5))
+    plane = np.linalg.qr(rng.normal(size=(6, 4)))[0]
+    cols = plane @ rng.normal(size=(4, 5))
     basis, rank = subspace_basis(cols)
-    assert rank == 2
+    assert rank == LOCAL_DIM == 4
     # principal angles against the plant
     s = np.linalg.svd(basis.T @ plane, compute_uv=False)
     assert np.max(np.arccos(np.clip(s, 0, 1))) < 1e-8
+    # below the global dimension even when the members span all of it
+    assert subspace_basis(rng.normal(size=(3, 6)))[1] == 2
 
 
 def test_error_vector_in_span():
-    # local subspace 0 is span{e1, e2}; point 2 lies in it
-    G = unit_subspace(np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8],
-                                [0.0, 0.0, 0.0]]))
-    Omega = np.zeros((3, 3))
-    Omega[0, 1] = 1.0
-    E, _ = build_error_matrix(G, Omega)
-    assert E.data[0, 2] < 1e-12
+    # local subspace 0 is span{e1, e2, e3} (four members, d = 3 in R^4);
+    # point 4 lies in it, point 5 is orthogonal to it
+    G = unit_subspace(np.array([[1.0, 0.0, 0.0, 0.6, 0.3, 0.0],
+                                [0.0, 1.0, 0.0, 0.8, 0.4, 0.0],
+                                [0.0, 0.0, 1.0, 0.0, 0.5, 0.0],
+                                [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]))
+    Omega = np.zeros((6, 6))
+    Omega[0, [1, 2, 3]] = [0.5, 0.3, 0.2]
+    E, subspaces = build_error_matrix(G, Omega)
+    assert subspaces[0].rank == 3
+    assert E.data[0, 4] < 1e-12
+    assert E.data[0, 5] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_error_vector_orthogonal():
@@ -101,14 +109,36 @@ def test_error_vector_orthogonal():
 def test_error_vector_planted_separation():
     rng = np.random.default_rng(2)
     G, labels = planted_two_subspace(rng)
-    # row 0 spans the whole first block
+    # row 0 weights the whole first block equally: ties go to the lower
+    # index, so its members are the first LOCAL_MEMBERS points
     Omega = np.zeros((len(labels), len(labels)))
     Omega[0, labels == 0] = 1.0
     E, subspaces = build_error_matrix(G, Omega)
-    assert subspaces[0].members.tolist() == np.flatnonzero(labels == 0).tolist()
+    assert subspaces[0].members.tolist() == list(range(LOCAL_MEMBERS))
     e = E.data[0]
-    assert e[labels == 0].mean() < 1e-6
+    assert e[labels == 0].max() < 1e-20
     assert e[labels == 1].mean() > 0.1
+
+
+def test_point_in_planted_motion_subspace_has_zero_residual():
+    """On a noiseless two-motion scene each motion spans a rank-4
+    subspace of the m = 5 projection.  A local subspace whose members all
+    belong to one motion is that subspace, so every point of the motion
+    has residual 0 (round-off) against it, and the other motion's points
+    do not."""
+    W, truth = make_scene(SceneConfig(n_motions=2, points_per_motion=(40, 40),
+                                      seed=3))
+    G = pca_project(W, 5)
+    Omega = weight_matrix(solve_all_neighbors(G).C, np.zeros((80, 80))).Omega
+    E, subspaces = build_error_matrix(G, Omega)
+    y = truth.labels
+    pure = [i for i, local in enumerate(subspaces)
+            if (y[local.members] == y[i]).all()]
+    assert len(pure) > 60
+    for i in pure:
+        assert subspaces[i].rank == 4
+        assert E.data[i, y == y[i]].max() < 1e-20
+        assert E.data[i, y != y[i]].mean() > 1e-6
 
 
 def test_error_matrix_identical_points():
@@ -121,11 +151,12 @@ def test_error_matrix_identical_points():
 
 
 def test_error_matrix_orthogonal_pair():
+    # no stored candidates: one member, an empty basis, so every residual,
+    # the point's own included, is the whole squared norm
     G = unit_subspace(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    E, _ = build_error_matrix(G, np.zeros((2, 2)))
-    assert E.data[0, 1] == pytest.approx(1.0, abs=1e-12)
-    assert E.data[1, 0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(np.diag(E.data), 0.0, atol=1e-12)
+    E, subspaces = build_error_matrix(G, np.zeros((2, 2)))
+    assert [s.rank for s in subspaces] == [0, 0]
+    assert np.allclose(E.data, 1.0, atol=1e-12)
 
 
 def test_error_matrix_block_structure():
@@ -135,8 +166,8 @@ def test_error_matrix_block_structure():
     Omega = np.zeros((P, P))
     for i in range(P):
         same = np.flatnonzero((labels == labels[i]) & (np.arange(P) != i))
-        picks = rng.choice(same, size=3, replace=False)
-        Omega[i, picks] = 1.0 / 3.0
+        picks = rng.choice(same, size=LOCAL_MEMBERS - 1, replace=False)
+        Omega[i, picks] = 1.0 / len(picks)
     E, _ = build_error_matrix(G, Omega)
     within = np.concatenate([E.data[np.ix_(labels == k, labels == k)].ravel()
                              for k in (0, 1)])
@@ -155,16 +186,20 @@ def test_projector_idempotent():
 
 
 def test_self_error_small():
+    # points of one rank-4 subspace of R^5, each with five members beside
+    # itself: every local subspace is the plant, so no residual is left
     rng = np.random.default_rng(5)
-    G = unit_subspace(rng.normal(size=(5, 15)))
+    G = unit_subspace(np.linalg.qr(rng.normal(size=(5, 4)))[0]
+                      @ rng.normal(size=(4, 15)))
     Omega = np.zeros((15, 15))
     for i in range(15):
-        Omega[i, (i + 1) % 15] = 1.0
+        Omega[i, (i + np.arange(1, 6)) % 15] = 0.2
     E, subspaces = build_error_matrix(G, Omega)
     for i in range(15):
-        assert E.data[i, i] < 1e-12  # (rank_tol)^2 bound
-        basis = subspaces[i].basis
-        assert np.max(np.abs(basis.T @ basis - np.eye(subspaces[i].rank))) < 1e-10
+        assert E.data[i, i] < 1e-20
+        basis, rank = subspaces[i].basis, subspaces[i].rank
+        assert rank == 4
+        assert np.max(np.abs(basis.T @ basis - np.eye(rank))) < 1e-10
 
 
 def test_error_entries_in_unit_range():
@@ -176,21 +211,22 @@ def test_error_entries_in_unit_range():
     assert np.all(E.data <= 1 + 1e-9)
 
 
-def test_adding_member_never_increases_error():
-    rng = np.random.default_rng(7)
-    G = unit_subspace(rng.normal(size=(5, 8)))
-    small = np.zeros((8, 8))
-    small[0, [2, 5]] = 1.0
-    large = small.copy()
-    large[0, 6] = 1.0
-    e_small = build_error_matrix(G, small, rank_tol=1e-12)[0].data[0]
-    e_large = build_error_matrix(G, large, rank_tol=1e-12)[0].data[0]
-    assert np.all(e_large <= e_small + 1e-12)
+def reference_members(G, weights, stored, i):
+    """Member rule, one row: i, then the stored columns with a nonzero
+    weight by descending |weight|, then the stored zero-weight columns by
+    NSI distance, ties to the lower index, LOCAL_MEMBERS in all."""
+    others = [j for j in np.flatnonzero(stored[i]) if j != i]
+    nonzero = sorted((-abs(weights[i, j]), j) for j in others
+                     if weights[i, j] != 0)
+    zero = sorted((1.0 - min((G[:, i] @ G[:, j]) ** 2, 1.0), j)
+                  for j in others if weights[i, j] == 0)
+    return [i] + [j for _, j in nonzero + zero][:LOCAL_MEMBERS - 1]
 
 
 def test_error_rows_match_least_squares_projection():
     """Each row of E is the residual of a least-squares fit of every point
-    onto that row's member columns, found without the SVD basis."""
+    onto the top-d singular vectors of that row's member set, taken
+    alone."""
     for seed in range(5):
         rng = np.random.default_rng(seed)
         m, P = 6, 25
@@ -200,15 +236,18 @@ def test_error_rows_match_least_squares_projection():
         G = unit_subspace(M)
         Omega = np.zeros((P, P))
         for i in range(P):
-            support = rng.choice(P, size=int(rng.integers(0, 5)),
+            support = rng.choice(P, size=int(rng.integers(0, 9)),
                                  replace=False)   # size 0: an empty row
             Omega[i, support] = rng.uniform(0.1, 1.0, size=len(support))
         Omega[3, [7, 12]] = 0.5
-        E, _ = build_error_matrix(G, Omega)
+        E, subspaces = build_error_matrix(G, Omega)
         for i in range(P):
-            cols = G.data[:, sorted(set(np.flatnonzero(Omega[i])) | {i})]
-            coef = np.linalg.lstsq(cols, G.data, rcond=None)[0]
-            expected = np.sum((G.data - cols @ coef) ** 2, axis=0)
+            members = reference_members(G.data, Omega, Omega != 0, i)
+            d = min(4, m - 1, len(members) - 1)
+            U = np.linalg.svd(G.data[:, members])[0][:, :d]
+            coef = np.linalg.lstsq(U, G.data, rcond=None)[0]
+            expected = np.sum((G.data - U @ coef) ** 2, axis=0)
+            assert subspaces[i].rank == d
             assert np.max(np.abs(E.data[i] - expected)) < 1e-10
 
 
@@ -225,30 +264,45 @@ def csr_with_entries(dense, extra):
 
 
 def test_members_and_rows_match_per_row_reference():
-    """Members from the one support pass, and E from the reused residual
-    buffer, equal the per-row unique/append form and the plain residual
-    expression bit for bit.  A stored zero and duplicate entries that
-    cancel are not support, and a CSR input is not changed in place."""
+    """Members follow the per-row rule: stored zeros rank after every
+    nonzero weight, by NSI distance; duplicate entries are summed first
+    (entries that cancel are a stored zero); the point itself is never
+    taken twice; rows with fewer than LOCAL_MEMBERS - 1 entries keep them
+    all.  E's rows equal the plain residual expression of each basis, and
+    a CSR input is not changed in place."""
     rng = np.random.default_rng(8)
     m, P = 5, 30
     G = unit_subspace(rng.normal(size=(m, P)))
     Omega = rng.normal(size=(P, P)) * (rng.uniform(size=(P, P)) < 0.15)
     Omega[2] = 0.0                       # empty row: the point alone
     Omega[4, 4] = 0.3                    # the point already in its support
-    Omega[5, :] = -0.0                   # negative zeros are not support
-    Omega[6, 6:] = 1.0                   # a saturated row
-    Omega[7, 0] = 0.0                    # stored as an explicit zero below
-    Omega[8, 9] = 0.0                    # stored as 0.5 and -0.5 below
-    stored_zero = csr_with_entries(Omega, {7: [(0, 0.0)]})
-    cancelling = csr_with_entries(Omega, {8: [(9, 0.5), (9, -0.5)]})
-    for case in (Omega, stored_zero, cancelling):
-        E, subspaces = build_error_matrix(G, case)
-        for i in range(P):
-            members = np.unique(np.append(np.flatnonzero(Omega[i]), i))
-            assert np.array_equal(subspaces[i].members, members)
-            B = subspaces[i].basis
-            assert np.array_equal(E.data[i],
-                                  np.sum((G.data - B @ (B.T @ G.data)) ** 2,
-                                         axis=0))
-    assert stored_zero.nnz == np.count_nonzero(Omega) + 1
-    assert cancelling.nnz == np.count_nonzero(Omega) + 2
+    Omega[5, :] = -0.0                   # negative zeros are not stored
+    Omega[6, 6:] = 1.0                   # a saturated row of tied weights
+    Omega[7, :] = 0.0                    # two stored zeros, nothing else
+    Omega[8, :] = 0.0                    # one weight, then column 9
+    Omega[8, 12] = 0.7                   # stored as 0.5 and -0.5 below
+    Omega[9, :] = 0.0                    # one weight, then three stored zeros
+    Omega[9, 20] = 0.4
+    zeros = {7: [(0, 0.0), (11, 0.0)], 8: [(9, 0.5), (9, -0.5)],
+             9: [(1, 0.0), (2, 0.0), (3, 0.0)]}
+    stored = Omega != 0
+    for i, entries in zeros.items():
+        stored[i, [j for j, _ in entries]] = True
+    case = csr_with_entries(Omega, zeros)
+    before = case.copy()
+    E, subspaces = build_error_matrix(G, case)
+    sizes = set()
+    for i in range(P):
+        members = reference_members(G.data, Omega, stored, i)
+        assert subspaces[i].members.tolist() == members
+        sizes.add(len(members))
+        B = subspaces[i].basis
+        assert np.allclose(E.data[i],
+                           np.sum((G.data - B @ (B.T @ G.data)) ** 2, axis=0),
+                           rtol=0, atol=1e-15)
+    assert subspaces[7].members[0] == 7
+    assert sorted(subspaces[7].members.tolist()) == [0, 7, 11]
+    assert subspaces[8].members.tolist() == [8, 12, 9]
+    assert subspaces[9].members.tolist()[:2] == [9, 20]
+    assert {1, 2, LOCAL_MEMBERS} <= sizes
+    assert (case != before).nnz == 0 and case.nnz == before.nnz
