@@ -35,7 +35,7 @@ C = sol.C.toarray()
 support_sizes = (C != 0).sum(axis=1)
 print(f"support sizes: min {support_sizes.min()}, "
       f"median {int(np.median(support_sizes))}, max {support_sizes.max()}")
-coeffs = sol.C.data.reshape(sol.X.shape)
+coeffs = sol.C.values
 q = proximity_weights(sol.X, sol.X.mean(axis=1, keepdims=True))
 objective = np.array([neighbor_objective(c, x, qi, 0.07)
                       for c, x, qi in zip(coeffs, sol.X, q)])
@@ -54,5 +54,5 @@ print(f"neighbor purity: mean {purity.mean():.3f}, "
 # Weight matrix: coefficients rescaled by inverse distance, rows sum to 1.
 # sol.X holds the distances of the stored candidates, aligned with C
 Omega = weight_matrix(sol.C, sol.X).Omega
-rows = abs(Omega).sum(axis=1)
+rows = np.abs(Omega.toarray()).sum(axis=1)
 print(f"weight-matrix rows sum to 1 within {np.abs(rows - 1).max():.1e}")

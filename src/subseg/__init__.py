@@ -29,6 +29,7 @@ from .projection import (
     pca_project,
 )
 from .neighbors import (
+    RowSparse,
     SparseNeighborSolution,
     WeightMatrix,
     nsi_dissimilarity_rows,

@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 from . import neighbors as nb
 from . import projection as pj
@@ -38,11 +34,14 @@ class Affinity:
 @dataclass
 class SpectralEmbedding:
     """Rows of the n smallest Laplacian eigenvectors, unit-normalized, their
-    eigenvalues, and the (n+1)-th smallest eigenvalue (None when n = P)."""
+    eigenvalues, and the (n+1)-th smallest eigenvalue (None when n = P);
+    the eigensolver's block passes and its largest final residual."""
 
     U: np.ndarray
     eigenvalues: np.ndarray
     next_eigenvalue: float | None
+    passes: int
+    residual: float
 
     @property
     def spectral_gap(self):
@@ -100,15 +99,15 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     subspace) means strong connection; the literal absolute-error variant
     stays available behind ``raw_error`` for comparison.  E is consumed,
     and its buffer becomes the returned A: B = exp(-E/sigma_e) (or |E|) is
-    formed there, |Omega|, coerced to a CSR array (a dense Omega stores
-    its nonzeros), is added at its stored entries, and B is symmetrized
-    in place (``neighbors.symmetrize``).  The automatic sigma_e is the
-    exact median of E's positive entries, taken by selection
-    (``_positive_median``) without a copy of E.  So no P x P array is
-    made.  If some vertex links to every other one the graph is
-    connected; only otherwise are the components counted on a sparse copy
-    of the edge pattern.
+    formed there, |Omega| (a ``RowSparse``) is added at its stored
+    entries, and B is symmetrized in place (``neighbors.symmetrize``).
+    The automatic sigma_e is the exact median of E's positive entries,
+    taken by selection (``_positive_median``) without a copy of E.  So no
+    P x P array is made.  If some vertex links to every other one the
+    graph is connected; only otherwise are the components counted, by
+    scipy's csgraph on a sparse copy of the edge pattern, imported then.
     """
+    nb.require_row_sparse("Omega", Omega)
     if sigma_e is not None:
         check_range("sigma_e", sigma_e, 0, closed=False)
     A = E.data
@@ -120,16 +119,16 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
             sigma_e = _positive_median(A)
         np.divide(A, -sigma_e, out=A)
         np.exp(A, out=A)
-    weights = csr_array(Omega).tocoo()
-    weights.sum_duplicates()
-    A[weights.row, weights.col] += np.abs(weights.data)
+    P = A.shape[0]
+    A[np.arange(P)[:, None], Omega.cols] += np.abs(Omega.values)
     nb.symmetrize(A)
     np.fill_diagonal(A, 0.0)
-    P = A.shape[0]
     if any((np.count_nonzero(A[rows], axis=1) == P - 1).any()
            for rows in nb.row_blocks(P)):
         n_comp = 1
     else:
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import connected_components
         n_comp, _ = connected_components(csr_array(A > 0), directed=False)
     return Affinity(A, int(n_comp), sigma_e)
 
@@ -179,7 +178,7 @@ def _positive_median(E):
         if not positive:
             return 1.0
         below = positive - at_least_lo
-        middle = np.unique([(positive - 1) // 2, positive // 2]) - below
+        middle = np.array(sorted({(positive - 1) // 2, positive // 2})) - below
         inside = np.concatenate(inside)
         if middle[0] >= 0 and middle[-1] < inside.size:
             return float(np.mean(np.partition(inside, middle)[middle]))
@@ -210,31 +209,69 @@ def normalized_laplacian(A):
 def spectral_embed(L, n):
     """Eigenvectors of the n smallest eigenvalues, rows unit-normalized.
 
-    ARPACK's Lanczos iteration (``eigsh``) finds the n+1 smallest
-    eigenpairs from a fixed start vector and a seeded restart stream, so
-    repeated calls give the same output; the extra eigenvalue gives the
-    spectral gap.  A dense ``eigh`` serves n + 1 >= P, which ARPACK
-    cannot.
+    ``_block_krylov`` finds the n+1 smallest eigenpairs, the extra
+    eigenvalue giving the spectral gap; for n + 1 >= P its first pass
+    spans the whole space.  Repeated calls give the same bits.
     """
     check_count("n", n, 1)
     P = L.shape[0]
     if n > P:
         raise ValueError("n must be <= number of points")
-    if n + 1 < P:
-        rng = np.random.default_rng(0)
-        eigenvalues, U = eigsh(L, k=n + 1, which="SA",
-                               v0=rng.uniform(-1.0, 1.0, P), rng=rng)
-        order = np.argsort(eigenvalues)
-        eigenvalues, U = eigenvalues[order], U[:, order]
-    else:
-        eigenvalues, U = eigh(L)
+    eigenvalues, U, passes, residual = _block_krylov(L, n + 1)
     next_eigenvalue = float(eigenvalues[n]) if n < P else None
     U = U[:, :n]
     norms = np.linalg.norm(U, axis=1)
     scale = np.ones_like(norms)
     np.divide(1.0, norms, out=scale, where=norms > 0)
     return SpectralEmbedding(U * scale[:, None], eigenvalues[:n],
-                             next_eigenvalue)
+                             next_eigenvalue, passes, residual)
+
+
+def _block_krylov(L, b):
+    """The min(b, P) smallest eigenpairs of a symmetric L, by block Lanczos
+    with full reorthogonalization: (eigenvalues, vectors, passes, largest
+    residual).  b must be at least the multiplicity of those eigenvalues.
+
+    A pass forms W = V_new^T L, whose products with the basis rows Vt are
+    V_new's rows of T = V^T L V, orthogonalizes W against Vt twice and
+    appends the Q factor of W^T, with seeded random rows in place of
+    collapsed columns.  A Ritz pair (theta, V y) has residual ||y_last^T W||
+    (L V = V T + W^T E_last); from pass 3, then at pass p + max(2, p // 2),
+    all b must be at most 1e-10.  At c = P the Rayleigh-Ritz step is exact.
+    """
+    P = L.shape[0]
+    rng = np.random.default_rng(0)
+    size = min(P, 16 * b)
+    Vt, T = np.empty((size, P)), np.zeros((size, size))
+    W = rng.uniform(-1.0, 1.0, (b, P))[:P]
+    norms = np.linalg.norm(W, axis=1)
+    c, passes, check = 0, 0, 3
+    while True:
+        Q, R = np.linalg.qr(W[:P - c].T)
+        lost = np.flatnonzero(np.abs(np.diagonal(R)) <= 1e-12 * norms[:P - c])
+        if lost.size:
+            W[lost] = rng.uniform(-1.0, 1.0, (lost.size, P))
+            norms[lost] = np.linalg.norm(W[lost], axis=1)
+            for _ in range(2):
+                W -= (W @ Vt[:c].T) @ Vt[:c]
+            continue
+        if c + Q.shape[1] > size:
+            size = min(P, 2 * size)
+            Vt, T = np.resize(Vt, (size, P)), np.pad(T, (0, size - len(T)))
+        start, c = c, c + Q.shape[1]
+        Vt[start:c] = Q.T
+        W = Q.T @ L
+        norms = np.linalg.norm(W, axis=1)
+        T[start:c, :c] = W @ Vt[:c].T
+        W -= T[start:c, :c] @ Vt[:c]
+        W -= (W @ Vt[:c].T) @ Vt[:c]
+        passes += 1
+        if passes == check or c == P:
+            theta, Y = np.linalg.eigh(T[:c, :c])
+            residual = float(np.linalg.norm(Y[start:, :b].T @ W, axis=1).max())
+            if residual <= 1e-10 or c == P:
+                return theta[:b], (Y[:, :b].T @ Vt[:c]).T, passes, residual
+            check += max(2, check // 2)
 
 
 def kmeans(X, n, restarts=10, seed=0):
@@ -277,7 +314,7 @@ def segment(W, config):
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")
-    report = {"schema": 2, "stages": {}, "n": config.n,
+    report = {"schema": 3, "stages": {}, "n": config.n,
               "projector": config.projector}
     clock = time.perf_counter
 
@@ -320,6 +357,8 @@ def segment(W, config):
     report["sigma_e"] = affinity.sigma_e
     report["eigenvalues"] = embedding.eigenvalues.tolist()
     report["spectral_gap"] = embedding.spectral_gap
+    report["spectral"] = {"passes": embedding.passes,
+                          "residual": embedding.residual}
     report["labels"] = labeling.labels.tolist()
     return labeling, report
 

@@ -3,8 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 
 class LengthMismatch(ValueError):
@@ -25,8 +23,12 @@ def misclassification(pred, truth):
     matrix (Kuhn 1955), exact for any cluster count.  csgraph's full
     bipartite matching solves it; scipy.optimize's linear_sum_assignment
     would too, but importing scipy.optimize adds about 9 MB of resident
-    memory (scipy 1.17) that nothing else in the package needs.
+    memory (scipy 1.17) that nothing else in the package needs.  csgraph
+    is imported on the first call, so ``import subseg`` loads no scipy.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     if len(pred) != len(truth):
         raise LengthMismatch(
             f"predicted {len(pred)} labels, ground truth {len(truth)}")

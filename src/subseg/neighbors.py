@@ -3,7 +3,7 @@
 Each projected trajectory takes as candidates the k points of smallest NSI
 distance, then solves a proximity-weighted L1 program with an affine
 constraint over them; its solution is found exactly, in closed form, for
-all rows at once.  C and the weights Omega are sparse, k stored entries
+all rows at once.  C and the weights Omega are ``RowSparse``, k entries
 per row.  The NSI distance matrix is the stage's only P x P array and is
 released once the candidate distances are gathered.  ``symmetrize`` and
 ``row_blocks`` serve the dense P x P passes of the later stages.
@@ -12,7 +12,6 @@ released once the candidate distances are gathered.  ``symmetrize`` and
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from ._checks import check_count, check_range
 
@@ -29,33 +28,57 @@ class SolverStall(UserWarning):
 
 
 @dataclass
+class RowSparse:
+    """P x P matrix that stores exactly k entries in every row: row i
+    holds ``values[i, j]`` at column ``cols[i, j]``, columns ascending.
+    Every stage ignores entries on the diagonal."""
+
+    cols: np.ndarray             # (P, k) column indices
+    values: np.ndarray           # (P, k)
+    shape = property(lambda self: (len(self.cols),) * 2)
+    dtype = property(lambda self: self.values.dtype)
+
+    def toarray(self):
+        """Dense copy; entries stored at one position add up."""
+        dense = np.zeros(self.shape, self.dtype)
+        np.add.at(dense, (np.arange(len(self.cols))[:, None], self.cols),
+                  self.values)
+        return dense
+
+
+def require_row_sparse(name, M):
+    if not isinstance(M, RowSparse):
+        raise TypeError(f"{name} must be a RowSparse, not {type(M).__name__}")
+
+
+@dataclass
 class SparseNeighborSolution:
     """Row-stacked sparse coefficients.
 
     C stores exactly the k candidates of every row, zero coefficients
     included.  Each row is solved and stored in ascending column order,
-    so ``C.data.reshape(P, k)``, ``candidates`` and ``X`` are aligned
-    entry by entry.  ``stats`` holds, per row, the fields ``iterations``
-    (0), ``converged`` (True) and ``stalled`` (False) of an exact solve;
-    it is kept for the benchmark's layer replay until that is replaced.
+    so ``C.values``, ``candidates`` and ``X`` are aligned entry by entry.
+    ``stats`` holds, per row, the fields ``iterations`` (0), ``converged``
+    (True) and ``stalled`` (False) of an exact solve; it is kept for the
+    benchmark's layer replay until that is replaced.
     """
 
-    C: csr_array                 # (P, P), row i = c_i^T, zero diagonal
+    C: RowSparse                 # row i = c_i^T, zero diagonal
     stats: np.recarray           # (P,) iterations, converged, stalled
     X: np.ndarray                # (P, k) NSI distances of the candidates
 
     @property
     def candidates(self):
-        """(P, k) candidate indices, row i ascending: C's column indices."""
-        return self.C.indices.reshape(self.C.shape[0], -1)
+        """(P, k) candidate indices, row i ascending: C's columns."""
+        return self.C.cols
 
 
 @dataclass
 class WeightMatrix:
-    """P x P sparse weight matrix (CSR); nonzero rows sum to 1, zero
-    diagonal.  It stores the entries of the C it was made from."""
+    """P x P sparse weights; nonzero rows sum to 1, zero diagonal.  Omega
+    stores the entries of the C it was made from."""
 
-    Omega: csr_array
+    Omega: RowSparse
 
 
 def nsi_distances(subspace):
@@ -204,9 +227,7 @@ def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     x = np.take_along_axis(X, candidates, axis=1)
     del X
     coeffs, stats = _solve_rows(x, sigma, lam)
-    C = csr_array((coeffs.ravel(), candidates.ravel(),
-                   np.arange(0, P * size + 1, size)), shape=(P, P))
-    return SparseNeighborSolution(C, stats, x)
+    return SparseNeighborSolution(RowSparse(candidates, coeffs), stats, x)
 
 
 def _solve_rows(x, sigma, lam):
@@ -264,9 +285,8 @@ def _solve_rows(x, sigma, lam):
 def weight_matrix(C, X):
     """Distance-normalized weights omega_ij = (c_ij/X_ij) / sum_t c_it/X_it.
 
-    C is coerced to a CSR array (a dense C stores its nonzeros) and its
-    duplicate entries are summed.  X is either the P x P distance matrix
-    or one distance per stored entry of C in its stored order, such as
+    C is a ``RowSparse``.  X is either the P x P distance matrix or one
+    distance per stored entry of C, shape (P, k), such as
     ``SparseNeighborSolution.X``; ``segment`` passes the latter, and the
     P x P form is kept for the benchmark's layer replay until that is
     replaced.  Only the nonzero coefficients are divided by their
@@ -278,20 +298,17 @@ def weight_matrix(C, X):
     column order; rows whose normalizer vanishes are left zero.  Omega
     stores the same entries as C.
     """
-    C = csr_array(C, dtype=float, copy=True)
-    C.sum_duplicates()
-    P = C.shape[0]
-    rows = np.repeat(np.arange(P), np.diff(C.indptr))
+    require_row_sparse("C", C)
     X = np.asarray(X)
-    dist = X[rows, C.indices] if X.shape == C.shape else X.reshape(-1)
-    if dist.size != C.nnz:
+    dist = np.take_along_axis(X, C.cols, axis=1) if X.shape == C.shape else X
+    if dist.shape != C.cols.shape:
         raise ValueError("X must be P x P or hold one distance per stored "
                          "entry of C")
-    ratios = C.data
+    ratios = C.values.astype(float)
     np.divide(ratios, np.maximum(dist, 1e-12), out=ratios, where=ratios != 0)
-    ratios[C.indices == rows] = 0.0
-    denom = np.bincount(rows, weights=ratios, minlength=P)[rows]
+    ratios[C.cols == np.arange(len(ratios))[:, None]] = 0.0
+    denom = np.cumsum(ratios, axis=1)[:, -1:]
     valid = np.abs(denom) > 1e-12
     np.divide(ratios, denom, out=ratios, where=valid)
-    ratios[~valid] = 0.0
-    return WeightMatrix(C)
+    np.copyto(ratios, 0.0, where=~valid)
+    return WeightMatrix(RowSparse(C.cols, ratios))

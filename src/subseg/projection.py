@@ -56,7 +56,7 @@ class SpcaParams:
                                  f"entries, got shape {value.shape}")
             check_range(f"{name} entries", value, 0, closed=closed)
             setattr(self, name, np.broadcast_to(value, (self.m,)).copy())
-        if np.unique(self.mu).size != self.m:
+        if len(set(self.mu.tolist())) != self.m:
             raise ValueError("mu entries must be pairwise distinct")
 
     def check_feasible(self, samples):

@@ -10,7 +10,6 @@ stage; `subspace_basis` is its local-dimension rule.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import neighbors as nb
 
@@ -58,36 +57,27 @@ def subspace_basis(columns):
 
 
 def _member_sets(G, Omega):
-    """(P, LOCAL_MEMBERS) member indices and the member count per row.
+    """(P, <= LOCAL_MEMBERS) member indices and the member count per row.
 
     Row i holds i, then the columns Omega[i] stores with a nonzero weight
     by descending |weight|, then those it stores with a zero weight by
     NSI distance 1 - (g_i^T g_j)^2, computed for those pairs only; ties go
-    to the lower index, duplicate entries are summed first, and the
-    count stops at LOCAL_MEMBERS.
+    to the lower index, and the count stops at LOCAL_MEMBERS.
     """
     P = G.shape[1]
-    weights = csr_array(Omega, dtype=float, copy=True)
-    weights.sum_duplicates()
-    rows = np.repeat(np.arange(P), np.diff(weights.indptr))
-    other = weights.indices != rows
-    rows, cols = rows[other], weights.indices[other]
-    key = -np.abs(weights.data[other])
+    rows = np.broadcast_to(np.arange(P)[:, None], Omega.cols.shape)
+    own = Omega.cols == rows
+    key = -np.abs(Omega.values)
     zero = key == 0
-    pairs = rows[zero], cols[zero]
+    pairs = rows[zero], Omega.cols[zero]
     dot = np.zeros(pairs[0].size)
     for g in G:                # one coordinate at a time: no m x k*P copy
         dot += g[pairs[0]] * g[pairs[1]]
     key[zero] = 1.0 - np.minimum(dot * dot, 1.0)
-    order = np.lexsort((cols, key, zero, rows))
-    rows, cols = rows[order], cols[order]
-    stored = np.bincount(rows, minlength=P)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(stored) - stored, stored)
-    kept = rank < LOCAL_MEMBERS - 1
-    members = np.empty((P, LOCAL_MEMBERS), dtype=np.intp)
-    members[:, 0] = np.arange(P)
-    members[rows[kept], rank[kept] + 1] = cols[kept]
-    return members, 1 + np.minimum(stored, LOCAL_MEMBERS - 1)
+    order = np.lexsort((key, zero, own), axis=1)[:, :LOCAL_MEMBERS - 1]
+    members = np.column_stack((np.arange(P), np.take_along_axis(
+        Omega.cols, order, axis=1)))
+    return members, np.minimum(1 + np.count_nonzero(~own, 1), LOCAL_MEMBERS)
 
 
 def build_error_matrix(subspace, Omega, rank_tol=None):
@@ -102,12 +92,13 @@ def build_error_matrix(subspace, Omega, rank_tol=None):
     the benchmark's layer replay until that is replaced.  Returns the
     ErrorMatrix and the list of LocalSubspace, one per point.
     """
+    nb.require_row_sparse("Omega", Omega)
     G = subspace.data
     m, P = G.shape
     members, counts = _member_sets(G, Omega)
     bases = np.zeros((P, m, max(0, min(LOCAL_DIM, m - 1))))
     ranks = np.empty(P, dtype=int)
-    for count in np.unique(counts):
+    for count in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == count)
         U, ranks[rows] = subspace_basis(
             np.moveaxis(G[:, members[rows, :count]], 0, 1))

@@ -90,13 +90,21 @@ def test_generate_takes_negative_exponent_values(tmp_path, option, value):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
-def test_import_does_not_load_scipy_spatial():
+def test_import_and_segment_do_not_load_scipy(tmp_path):
+    """Segmentation runs on numpy alone: neither ``import subseg`` nor a
+    ``segment()`` call on a 120-point scene loads any part of scipy."""
+    path = tmp_path / "scene.traj"
+    assert run(["generate", "--points-per-motion", "60,60",
+                "--out", str(path)]) == 0
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", "import subseg, sys; "
-                           "print('scipy.spatial' in sys.modules)"],
+                           f"W, _ = subseg.read_trajectory({str(path)!r}); "
+                           "subseg.segment(W, subseg.SegmentConfig(n=2)); "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'))"],
                           env=env, capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]", done.stderr
 
 
 def test_segment_writes_labels_and_report(tmp_path, scene_file):

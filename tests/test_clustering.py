@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from test_neighbors import row_sparse
 
 import subseg
 from subseg import neighbors as nb
@@ -21,6 +21,11 @@ from subseg.subspace_error import ErrorMatrix, build_error_matrix
 from subseg.synthcam import Labeling, SceneConfig, make_scene
 
 
+def no_weights(P):
+    """Weights with no entries: k = 0 columns."""
+    return row_sparse(np.zeros((P, P)))
+
+
 def two_block_error(per_block=4):
     P = 2 * per_block
     E = np.ones((P, P))
@@ -31,7 +36,7 @@ def two_block_error(per_block=4):
 
 def test_affinity_closed_form_exponential():
     E = two_block_error(3)
-    A = build_affinity(np.zeros((6, 6)), E, sigma_e=0.2).A
+    A = build_affinity(no_weights(6), E, sigma_e=0.2).A
     within = A[0, 1]
     cross = A[0, 4]
     assert within == pytest.approx(1.0, abs=1e-12)
@@ -46,7 +51,7 @@ def test_affinity_symmetrization_idempotent():
     E = ErrorMatrix(np.zeros((5, 5)))
     B = np.abs(Omega) + np.exp(-E.data)
     np.fill_diagonal(B, 0.0)
-    A = build_affinity(Omega, E, sigma_e=1.0).A
+    A = build_affinity(row_sparse(Omega), E, sigma_e=1.0).A
     assert np.array_equal(A, B)
 
 
@@ -54,7 +59,7 @@ def test_affinity_exactly_symmetric():
     rng = np.random.default_rng(1)
     Omega = rng.normal(size=(8, 8))
     E = ErrorMatrix(np.abs(rng.uniform(size=(8, 8))))
-    A = build_affinity(Omega, E).A
+    A = build_affinity(row_sparse(Omega), E).A
     assert np.shares_memory(A, E.data)
     assert np.max(np.abs(A - A.T)) == 0.0
     assert np.all(A >= 0)
@@ -63,7 +68,7 @@ def test_affinity_exactly_symmetric():
 
 def test_affinity_raw_error_variant():
     E = two_block_error(2)
-    affinity = build_affinity(np.zeros((4, 4)), E, raw_error=True)
+    affinity = build_affinity(no_weights(4), E, raw_error=True)
     A = affinity.A
     assert A[0, 2] == 1.0   # literal |e| strengthens cross links
     assert A[0, 1] == 0.0
@@ -74,7 +79,7 @@ def test_affinity_raw_error_variant():
 def test_affinity_rejects_nonpositive_sigma_e(sigma_e):
     for raw_error in (False, True):
         with pytest.raises(ValueError, match="sigma_e must be > 0"):
-            build_affinity(np.zeros((4, 4)), two_block_error(2),
+            build_affinity(no_weights(4), two_block_error(2),
                            sigma_e=sigma_e, raw_error=raw_error)
 
 
@@ -268,42 +273,42 @@ def clique_error(groups, P):
 def test_zero_eigenvalue_multiplicity_vs_components():
     P = 7
     # every residual underflows: no edges, seven isolated vertices
-    empty = build_affinity(np.zeros((P, P)), clique_error([], P), sigma_e=1e-3)
+    empty = build_affinity(no_weights(P), clique_error([], P), sigma_e=1e-3)
     assert not empty.A.any()
     assert empty.n_components == 7
 
     # two cliques plus the isolated vertices 5 and 6
-    aff = build_affinity(np.zeros((P, P)),
+    aff = build_affinity(no_weights(P),
                          clique_error([[0, 1, 2], [3, 4]], P), sigma_e=1e-3)
     assert aff.n_components == 4
     # isolated vertices carry eigenvalue 1, each clique one zero
     vals = np.linalg.eigvalsh(normalized_laplacian(aff.A))
     assert np.sum(np.abs(vals) < 1e-8) == 2
 
-    complete = build_affinity(np.zeros((P, P)), clique_error([range(P)], P),
+    complete = build_affinity(no_weights(P), clique_error([range(P)], P),
                               sigma_e=1e-3)
     assert complete.n_components == 1
 
 
 def test_connectivity_shortcut_agrees_with_sparse_count(monkeypatch):
-    import subseg.clustering as cl
+    from scipy.sparse import csgraph
 
     calls = []
-    count = cl.connected_components
+    count = csgraph.connected_components
 
     def counted(*args, **kwargs):
         calls.append(1)
         return count(*args, **kwargs)
 
-    monkeypatch.setattr(cl, "connected_components", counted)
+    monkeypatch.setattr(csgraph, "connected_components", counted)
     P = 6
     # vertex 0 links to all others: connected without a sparse graph
     star = [[0, v] for v in range(1, P)]
-    aff = build_affinity(np.zeros((P, P)), clique_error(star, P), sigma_e=1e-3)
+    aff = build_affinity(no_weights(P), clique_error(star, P), sigma_e=1e-3)
     assert aff.n_components == 1 and not calls
     # a path is connected but has no such vertex: the sparse count runs
     path = [[v, v + 1] for v in range(P - 1)]
-    aff = build_affinity(np.zeros((P, P)), clique_error(path, P), sigma_e=1e-3)
+    aff = build_affinity(no_weights(P), clique_error(path, P), sigma_e=1e-3)
     assert aff.n_components == 1 and len(calls) == 1
 
 
@@ -318,7 +323,7 @@ def test_affinity_and_laplacian_match_whole_matrix_forms():
     B = np.exp(E / -0.5) + np.abs(Omega)
     want = 0.5 * (B + B.T)
     np.fill_diagonal(want, 0.0)
-    A = build_affinity(Omega, ErrorMatrix(E), sigma_e=0.5).A
+    A = build_affinity(row_sparse(Omega), ErrorMatrix(E), sigma_e=0.5).A
     assert np.array_equal(A, want)
 
     isolated = [0, 350]                 # in the first and a middle block
@@ -414,6 +419,90 @@ def test_embed_near_and_at_full_dimension():
         spectral_embed(L, P + 1)
 
 
+def bridged_cliques(size, weight):
+    """Two cliques joined by one edge of the given weight."""
+    A, _ = clique_graph((size, size))
+    A[size - 1, size] = A[size, size - 1] = weight
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_embed_separates_eigenvalues_a_weak_bridge_puts_1e6_apart(n):
+    L = normalized_laplacian(bridged_cliques(30, 4.35e-4))
+    vals = np.linalg.eigvalsh(L)
+    assert 5e-7 < vals[1] - vals[0] < 2e-6
+    emb = spectral_embed(L, n)
+    assert np.max(np.abs(emb.eigenvalues - vals[:n])) < 1e-10
+    assert abs(emb.next_eigenvalue - vals[n]) < 1e-10
+    assert emb.residual <= 1e-10
+    if n == 2:
+        truth = Labeling(np.repeat([0, 1], 30), 2)
+        labels = kmeans(emb.U, 2, seed=0)
+        assert misclassification(labels, truth).misclassification == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_embed_zero_eigenvalue_of_multiplicity_n_plus_1(n):
+    """n + 1 disjoint cliques: the block of n + 1 vectors holds the whole
+    null space, so the next eigenvalue is zero too."""
+    L = normalized_laplacian(clique_graph((12,) * (n + 1))[0])
+    vals = np.linalg.eigvalsh(L)
+    emb = spectral_embed(L, n)
+    assert np.max(np.abs(emb.eigenvalues)) < 1e-10
+    assert abs(emb.next_eigenvalue) < 1e-10
+    assert abs(emb.next_eigenvalue - vals[n]) < 1e-10
+    assert emb.residual <= 1e-10
+
+
+def test_embed_with_one_spare_point_ends_at_the_full_basis():
+    """P = n + 2: the second pass completes the basis, where the
+    Rayleigh-Ritz step is exact, before any convergence check."""
+    P = 9
+    L = normalized_laplacian(random_graph(P, 6))
+    vals = np.linalg.eigvalsh(L)
+    emb = spectral_embed(L, P - 2)
+    assert emb.passes == 2
+    assert np.max(np.abs(emb.eigenvalues - vals[:P - 2])) < 1e-10
+    assert abs(emb.next_eigenvalue - vals[P - 2]) < 1e-10
+    assert emb.residual <= 1e-10
+
+
+def test_embed_identity():
+    """L = I: every block collapses onto the basis and is replaced by
+    random directions; any orthonormal vectors are eigenvectors."""
+    emb = spectral_embed(np.eye(40), 3)
+    assert np.max(np.abs(emb.eigenvalues - 1.0)) < 1e-12
+    assert abs(emb.next_eigenvalue - 1.0) < 1e-12
+    assert emb.residual <= 1e-10
+    assert np.allclose(np.linalg.norm(emb.U, axis=1), 1.0)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Symmetric nonnegative weights on P <= 60 vertices, sparse enough
+    at times to split the graph, and a cluster count n <= P."""
+    P = draw(st.integers(2, 60))
+    density = draw(st.sampled_from([0.05, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(size=(P, P)) * (rng.uniform(size=(P, P)) < density)
+    A = A + A.T
+    np.fill_diagonal(A, 0.0)
+    return A, draw(st.integers(1, P))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(weighted_graphs())
+def test_embed_eigenvalues_match_dense_solve(case):
+    A, n = case
+    L = normalized_laplacian(A)
+    vals = np.linalg.eigvalsh(L)
+    emb = spectral_embed(L, n)
+    assert np.max(np.abs(emb.eigenvalues - vals[:n])) <= 1e-10
+    if n < len(A):
+        assert abs(emb.next_eigenvalue - vals[n]) <= 1e-10
+    assert emb.residual <= 1e-10
+
+
 def test_segment_noiseless_two_motions_exact():
     cfg = SceneConfig(n_motions=2, points_per_motion=(60, 60), frames=30,
                       rotation_rate=(0.15, 0.22),
@@ -433,7 +522,7 @@ def test_segment_noiseless_two_motions_exact():
 
 REPORT_KEYS = {"schema", "stages", "n", "projector", "solver",
                "local_subspaces", "connected_components", "sigma_e",
-               "eigenvalues", "spectral_gap", "labels"}
+               "eigenvalues", "spectral_gap", "spectral", "labels"}
 SOLVER_KEYS = {"rows", "exact"}
 
 
@@ -443,9 +532,12 @@ def test_report_schema_pins_every_key(projector, extra):
     W, _ = make_scene(SceneConfig(n_motions=2, points_per_motion=20,
                                   frames=10, seed=4))
     _, report = segment(W, SegmentConfig(n=2, projector=projector))
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert set(report) == REPORT_KEYS | extra
     assert set(report["solver"]) == SOLVER_KEYS
+    assert set(report["spectral"]) == {"passes", "residual"}
+    assert report["spectral"]["passes"] >= 1
+    assert report["spectral"]["residual"] <= 1e-10
     assert set(report["local_subspaces"]) == {"members", "dim"}
     if extra:
         assert set(report["spca"]) == {"iterations", "converged",
@@ -491,7 +583,7 @@ def test_sigma_e_is_exact_median_of_positive_residuals(E):
     and 1.0 when no entry is positive; multi-block sizes included."""
     positive = E[E > 0]
     want = np.float64(np.median(positive) if positive.size else 1.0)
-    got = build_affinity(np.zeros(E.shape), ErrorMatrix(E.copy())).sigma_e
+    got = build_affinity(no_weights(len(E)), ErrorMatrix(E.copy())).sigma_e
     assert np.float64(got).tobytes() == want.tobytes()
 
 
@@ -519,7 +611,7 @@ def test_build_affinity_allocates_no_dense_array():
     tile-sized scratch: far less than one P x P array."""
     P = 1000
     E = np.random.default_rng(3).uniform(size=(P, P))
-    Omega = csr_array(np.eye(P, k=1))
+    Omega = row_sparse(np.eye(P, k=1))
     tracemalloc.start()
     try:
         build_affinity(Omega, ErrorMatrix(E))
@@ -529,27 +621,25 @@ def test_build_affinity_allocates_no_dense_array():
     assert peak < 0.25 * P * P * 8
 
 
-def test_dense_and_csr_omega_give_same_error_affinity_and_laplacian():
+def test_weight_stages_refuse_dense_and_csr_weights():
+    """The weights, the error stage and the affinity take C and Omega only
+    as a RowSparse: a dense or CSR matrix, which could store other entries
+    than the solver's, is refused, naming the expected type."""
+    from scipy.sparse import csr_array
+
     W, _ = make_scene(SceneConfig(n_motions=3, points_per_motion=100,
                                   seed=2))
     G = pca_project(W, 5)
     sol = solve_all_neighbors(G)
     Omega = weight_matrix(sol.C, sol.X).Omega
-    assert isinstance(Omega, csr_array)
-    # a dense Omega stores its nonzeros, and the error stage picks members
-    # among the stored entries, so the CSR form drops its stored zeros
-    Omega.eliminate_zeros()
-    results = []
-    for weights in (Omega, Omega.toarray()):
-        E, _ = build_error_matrix(G, weights)
-        E_bits = E.data.copy()
-        affinity = build_affinity(weights, E)
-        A = affinity.A.copy()
-        results.append((E_bits, affinity.sigma_e, A,
-                        normalized_laplacian(affinity.A)))
-    for got, want in zip(*results):
-        assert np.array_equal(np.float64(got).view(np.int64),
-                              np.float64(want).view(np.int64))
+    E = build_error_matrix(G, Omega)[0]
+    for form in (np.asarray, csr_array):
+        with pytest.raises(TypeError, match="C must be a RowSparse"):
+            weight_matrix(form(sol.C.toarray()), sol.X)
+        with pytest.raises(TypeError, match="Omega must be a RowSparse"):
+            build_error_matrix(G, form(Omega.toarray()))
+        with pytest.raises(TypeError, match="Omega must be a RowSparse"):
+            build_affinity(form(Omega.toarray()), E)
 
 
 def test_segment_label_permutation_metamorphic():
@@ -606,9 +696,9 @@ def test_segment_config_accepts_boundary_counts_and_rank_tol():
     X = np.random.default_rng(8).normal(size=(6, 2))
     assert kmeans(X, 2, restarts=1).n == 2
     G = pca_project(subseg.TrajectoryMatrix.from_dense(X.T), 2)
-    E = build_error_matrix(G, np.zeros((6, 6)))[0].data
+    E = build_error_matrix(G, no_weights(6))[0].data
     for rank_tol in (0.0, np.nextafter(1.0, 0.0)):
-        assert np.array_equal(build_error_matrix(G, np.zeros((6, 6)),
+        assert np.array_equal(build_error_matrix(G, no_weights(6),
                                                  rank_tol)[0].data, E)
 
 

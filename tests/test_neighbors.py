@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
 
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
-from subseg.neighbors import (neighbor_objective, nsi_dissimilarity_rows,
+from subseg.neighbors import (RowSparse, neighbor_objective,
+                              nsi_dissimilarity_rows,
                               proximity_weights, search_area,
                               solve_all_neighbors, solve_sparse_neighbors,
                               symmetrize, weight_matrix)
@@ -30,6 +30,25 @@ def nsi(a, b):
         B = B.T
     cross = A.T @ B
     return float(np.sum(cross ** 2) / min(A.shape[1], B.shape[1]))
+
+
+def row_sparse(dense, zeros=None):
+    """RowSparse of the nonzeros of a square ``dense``, plus weight-0
+    entries at the columns ``zeros[i]`` of row i.  Rows with fewer entries
+    than the fullest one are padded with their own index at weight 0,
+    which every stage ignores."""
+    dense = np.asarray(dense, dtype=float)
+    stored = [np.union1d(np.flatnonzero(row), (zeros or {}).get(i, []))
+              .astype(int) for i, row in enumerate(dense)]
+    k = max((len(s) for s in stored), default=0)
+    cols = np.empty((len(dense), k), dtype=int)
+    values = np.empty((len(dense), k))
+    for i, s in enumerate(stored):
+        padded = np.r_[s, np.full(k - len(s), i)]
+        order = np.argsort(padded, kind="stable")
+        cols[i] = padded[order]
+        values[i] = np.r_[dense[i, s], np.zeros(k - len(s))][order]
+    return RowSparse(cols, values)
 
 
 def simplex_grid_minimum(x, q, lam, step=1e-2):
@@ -286,7 +305,7 @@ def test_batch_matches_per_row():
     G = pca_project(W, 5)
     batch = solve_all_neighbors(G, size=12)
     _, X = nsi_dissimilarity_rows(G)
-    coeffs = batch.C.data.reshape(batch.candidates.shape)
+    coeffs = batch.C.values
     for i, cand in enumerate(batch.candidates):
         c, stats = solve_sparse_neighbors(X[i, cand])
         assert np.array_equal(coeffs[i], c)
@@ -319,7 +338,7 @@ def test_row_result_independent_of_batch_and_block():
                                       seed=3))
         G = pca_project(W, 5)
         sol = solve_all_neighbors(G, size=size)
-        coeffs = sol.C.data.reshape(sol.X.shape)
+        coeffs = sol.C.values
         for i in range(G.points):
             c, stats = solve_sparse_neighbors(sol.X[i])
             assert np.array_equal(coeffs[i], c), (G.points, size, i)
@@ -363,9 +382,9 @@ def test_solution_carries_candidate_distances():
     G = pca_project(W, 5)
     sol = solve_all_neighbors(G, size=12)
     P = G.points
-    assert isinstance(sol.C, csr_array) and sol.C.has_canonical_format
-    assert np.array_equal(sol.C.indptr, np.arange(0, 12 * P + 1, 12))
-    assert np.array_equal(sol.C.indices.reshape(P, 12), sol.candidates)
+    assert isinstance(sol.C, RowSparse) and sol.C.shape == (P, P)
+    assert sol.C.cols.shape == sol.C.values.shape == sol.X.shape == (P, 12)
+    assert sol.candidates is sol.C.cols
     assert np.all(np.diff(sol.candidates, axis=1) > 0)
     assert np.array_equal(sol.X, np.take_along_axis(
         nsi_dissimilarity_rows(G)[1], sol.candidates, axis=1))
@@ -403,7 +422,7 @@ def test_solution_contract():
 def test_weight_matrix_one_hot():
     C = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     X = np.full((3, 3), 0.5)
-    Om = weight_matrix(C, X).Omega.toarray()
+    Om = weight_matrix(row_sparse(C), X).Omega.toarray()
     assert Om[0].tolist() == [0.0, 1.0, 0.0]
     assert np.all(np.diag(Om) == 0)
 
@@ -411,7 +430,7 @@ def test_weight_matrix_one_hot():
 def test_weight_matrix_uniform_pair():
     C = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     X = np.full((3, 3), 0.3)
-    Om = weight_matrix(C, X).Omega.toarray()
+    Om = weight_matrix(row_sparse(C), X).Omega.toarray()
     assert np.allclose(Om[0], [0.0, 0.5, 0.5])
 
 
@@ -423,7 +442,7 @@ def test_weight_matrix_rows_sum_to_one():
     C = C / np.where(C.sum(axis=1, keepdims=True) == 0, 1.0,
                      C.sum(axis=1, keepdims=True))
     X = np.abs(rng.uniform(0.1, 1.0, size=(P, P)))
-    Om = weight_matrix(C, X).Omega.toarray()
+    Om = weight_matrix(row_sparse(C), X).Omega.toarray()
     for i in range(P):
         if np.any(Om[i] != 0):
             assert abs(Om[i].sum() - 1.0) < 1e-8
@@ -433,7 +452,7 @@ def test_weight_matrix_rows_sum_to_one():
 def test_weight_matrix_zero_distance_clamped():
     C = np.array([[0.0, 0.9, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     X = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    Om = weight_matrix(C, X).Omega.toarray()
+    Om = weight_matrix(row_sparse(C), X).Omega.toarray()
     # the coincident point draws essentially all the weight
     assert Om[0, 1] == pytest.approx(1.0, abs=1e-9)
 
@@ -464,15 +483,14 @@ def test_weight_matrix_matches_dense_form():
     cases = [(C, X), (C, np.zeros((P, P))), (np.zeros((P, P)), X),
              (C.T, X.T)]
     for C_case, X_case in cases:
-        got = weight_matrix(C_case, X_case).Omega
+        got = weight_matrix(row_sparse(C_case), X_case).Omega
         want = weight_matrix_dense(C_case, X_case)
-        assert isinstance(got, csr_array)
+        assert isinstance(got, RowSparse)
         assert np.array_equal(got.toarray(), want)
         # every entry Omega stores has the dense form's sign bit; the
         # entries it does not store are zeros of either sign there
-        rows = np.repeat(np.arange(P), np.diff(got.indptr))
-        assert np.array_equal(np.signbit(got.data),
-                              np.signbit(want[rows, got.indices]))
+        assert np.array_equal(np.signbit(got.values), np.signbit(
+            np.take_along_axis(want, got.cols, axis=1)))
 
 
 def test_weight_matrix_of_solution_keeps_support_and_dense_bits():
@@ -486,8 +504,7 @@ def test_weight_matrix_of_solution_keeps_support_and_dense_bits():
     want = weight_matrix_dense(sol.C.toarray(), X)
     for distances in (sol.X, X):
         Omega = weight_matrix(sol.C, distances).Omega
-        assert np.array_equal(Omega.indptr, sol.C.indptr)
-        assert np.array_equal(Omega.indices, sol.C.indices)
+        assert Omega.cols is sol.C.cols
         got = Omega.toarray()
         assert np.array_equal(got != 0, want != 0)
         assert np.array_equal(got, want)
@@ -496,7 +513,7 @@ def test_weight_matrix_of_solution_keeps_support_and_dense_bits():
 def test_weight_matrix_rejects_misaligned_distances():
     C = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="one distance per stored entry"):
-        weight_matrix(C, np.full((3, 2), 0.5))
+        weight_matrix(row_sparse(C), np.full((3, 2), 0.5))
 
 
 def test_solver_rejects_bad_inputs():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from test_neighbors import row_sparse
 
 from subseg.neighbors import solve_all_neighbors, weight_matrix
 from subseg.projection import GlobalSubspace, pca_project
@@ -24,7 +24,7 @@ def planted_two_subspace(rng, dim=6, per_block=20):
 
 def test_collect_degenerate_row():
     G = unit_subspace(np.random.default_rng(0).normal(size=(3, 6)))
-    _, subspaces = build_error_matrix(G, np.zeros((6, 6)))
+    _, subspaces = build_error_matrix(G, row_sparse(np.zeros((6, 6))))
     assert subspaces[3].members.tolist() == [3]
 
 
@@ -32,7 +32,7 @@ def test_collect_one_hot():
     G = unit_subspace(np.random.default_rng(0).normal(size=(3, 6)))
     Omega = np.zeros((6, 6))
     Omega[1, 4] = 1.0
-    _, subspaces = build_error_matrix(G, Omega)
+    _, subspaces = build_error_matrix(G, row_sparse(Omega))
     assert subspaces[1].members.tolist() == [1, 4]
 
 
@@ -45,7 +45,7 @@ def test_collect_matches_nonzero_pattern():
     for i in range(5):
         Omega[i] = rng.normal(size=12) * (rng.uniform(size=12) < 0.3)
     Omega[4] = rng.normal(size=12)       # more than LOCAL_MEMBERS entries
-    _, subspaces = build_error_matrix(G, Omega)
+    _, subspaces = build_error_matrix(G, row_sparse(Omega))
     lengths = set()
     for i in range(5):
         support = [j for j in np.flatnonzero(Omega[i]) if j != i]
@@ -94,7 +94,7 @@ def test_error_vector_in_span():
                                 [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]))
     Omega = np.zeros((6, 6))
     Omega[0, [1, 2, 3]] = [0.5, 0.3, 0.2]
-    E, subspaces = build_error_matrix(G, Omega)
+    E, subspaces = build_error_matrix(G, row_sparse(Omega))
     assert subspaces[0].rank == 3
     assert E.data[0, 4] < 1e-12
     assert E.data[0, 5] == pytest.approx(1.0, abs=1e-12)
@@ -102,7 +102,7 @@ def test_error_vector_in_span():
 
 def test_error_vector_orthogonal():
     G = unit_subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
-    E, _ = build_error_matrix(G, np.zeros((2, 2)))
+    E, _ = build_error_matrix(G, row_sparse(np.zeros((2, 2))))
     assert E.data[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_error_vector_planted_separation():
     # index, so its members are the first LOCAL_MEMBERS points
     Omega = np.zeros((len(labels), len(labels)))
     Omega[0, labels == 0] = 1.0
-    E, subspaces = build_error_matrix(G, Omega)
+    E, subspaces = build_error_matrix(G, row_sparse(Omega))
     assert subspaces[0].members.tolist() == list(range(LOCAL_MEMBERS))
     e = E.data[0]
     assert e[labels == 0].max() < 1e-20
@@ -146,7 +146,7 @@ def test_error_matrix_identical_points():
     G = unit_subspace(np.tile(col[:, None], (1, 4)))
     Omega = np.ones((4, 4)) - np.eye(4)
     Omega /= 3.0
-    E, _ = build_error_matrix(G, Omega)
+    E, _ = build_error_matrix(G, row_sparse(Omega))
     assert np.max(E.data) < 1e-12
 
 
@@ -154,7 +154,7 @@ def test_error_matrix_orthogonal_pair():
     # no stored candidates: one member, an empty basis, so every residual,
     # the point's own included, is the whole squared norm
     G = unit_subspace(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    E, subspaces = build_error_matrix(G, np.zeros((2, 2)))
+    E, subspaces = build_error_matrix(G, row_sparse(np.zeros((2, 2))))
     assert [s.rank for s in subspaces] == [0, 0]
     assert np.allclose(E.data, 1.0, atol=1e-12)
 
@@ -168,7 +168,7 @@ def test_error_matrix_block_structure():
         same = np.flatnonzero((labels == labels[i]) & (np.arange(P) != i))
         picks = rng.choice(same, size=LOCAL_MEMBERS - 1, replace=False)
         Omega[i, picks] = 1.0 / len(picks)
-    E, _ = build_error_matrix(G, Omega)
+    E, _ = build_error_matrix(G, row_sparse(Omega))
     within = np.concatenate([E.data[np.ix_(labels == k, labels == k)].ravel()
                              for k in (0, 1)])
     cross = E.data[np.ix_(labels == 0, labels == 1)].ravel()
@@ -194,7 +194,7 @@ def test_self_error_small():
     Omega = np.zeros((15, 15))
     for i in range(15):
         Omega[i, (i + np.arange(1, 6)) % 15] = 0.2
-    E, subspaces = build_error_matrix(G, Omega)
+    E, subspaces = build_error_matrix(G, row_sparse(Omega))
     for i in range(15):
         assert E.data[i, i] < 1e-20
         basis, rank = subspaces[i].basis, subspaces[i].rank
@@ -206,7 +206,7 @@ def test_error_entries_in_unit_range():
     rng = np.random.default_rng(6)
     G = unit_subspace(rng.normal(size=(4, 12)))
     Omega = np.zeros((12, 12))
-    E, _ = build_error_matrix(G, Omega)
+    E, _ = build_error_matrix(G, row_sparse(Omega))
     assert np.all(E.data >= 0)
     assert np.all(E.data <= 1 + 1e-9)
 
@@ -240,7 +240,7 @@ def test_error_rows_match_least_squares_projection():
                                  replace=False)   # size 0: an empty row
             Omega[i, support] = rng.uniform(0.1, 1.0, size=len(support))
         Omega[3, [7, 12]] = 0.5
-        E, subspaces = build_error_matrix(G, Omega)
+        E, subspaces = build_error_matrix(G, row_sparse(Omega))
         for i in range(P):
             members = reference_members(G.data, Omega, Omega != 0, i)
             d = min(4, m - 1, len(members) - 1)
@@ -251,25 +251,12 @@ def test_error_rows_match_least_squares_projection():
             assert np.max(np.abs(E.data[i] - expected)) < 1e-10
 
 
-def csr_with_entries(dense, extra):
-    """CSR array of the nonzeros of ``dense``, each row i led by the
-    (column, value) pairs of ``extra[i]`` stored as given: explicit zeros
-    and duplicate columns stay."""
-    rows = [extra.get(i, []) + [(j, dense[i, j]) for j in np.flatnonzero(dense[i])]
-            for i in range(dense.shape[0])]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.array([j for row in rows for j, _ in row])
-    data = np.array([v for row in rows for _, v in row], dtype=float)
-    return csr_array((data, indices, indptr), shape=dense.shape)
-
-
 def test_members_and_rows_match_per_row_reference():
     """Members follow the per-row rule: stored zeros rank after every
-    nonzero weight, by NSI distance; duplicate entries are summed first
-    (entries that cancel are a stored zero); the point itself is never
-    taken twice; rows with fewer than LOCAL_MEMBERS - 1 entries keep them
-    all.  E's rows equal the plain residual expression of each basis, and
-    a CSR input is not changed in place."""
+    nonzero weight, by NSI distance; the point itself is never taken
+    twice; rows with fewer than LOCAL_MEMBERS - 1 entries keep them all.
+    E's rows equal the plain residual expression of each basis, and the
+    weights are not changed in place."""
     rng = np.random.default_rng(8)
     m, P = 5, 30
     G = unit_subspace(rng.normal(size=(m, P)))
@@ -280,16 +267,15 @@ def test_members_and_rows_match_per_row_reference():
     Omega[6, 6:] = 1.0                   # a saturated row of tied weights
     Omega[7, :] = 0.0                    # two stored zeros, nothing else
     Omega[8, :] = 0.0                    # one weight, then column 9
-    Omega[8, 12] = 0.7                   # stored as 0.5 and -0.5 below
+    Omega[8, 12] = 0.7
     Omega[9, :] = 0.0                    # one weight, then three stored zeros
     Omega[9, 20] = 0.4
-    zeros = {7: [(0, 0.0), (11, 0.0)], 8: [(9, 0.5), (9, -0.5)],
-             9: [(1, 0.0), (2, 0.0), (3, 0.0)]}
+    zeros = {7: [0, 11], 8: [9], 9: [1, 2, 3]}
     stored = Omega != 0
-    for i, entries in zeros.items():
-        stored[i, [j for j, _ in entries]] = True
-    case = csr_with_entries(Omega, zeros)
-    before = case.copy()
+    for i, cols in zeros.items():
+        stored[i, cols] = True
+    case = row_sparse(Omega, zeros)
+    before = case.cols.copy(), case.values.copy()
     E, subspaces = build_error_matrix(G, case)
     sizes = set()
     for i in range(P):
@@ -305,4 +291,5 @@ def test_members_and_rows_match_per_row_reference():
     assert subspaces[8].members.tolist() == [8, 12, 9]
     assert subspaces[9].members.tolist()[:2] == [9, 20]
     assert {1, 2, LOCAL_MEMBERS} <= sizes
-    assert (case != before).nnz == 0 and case.nnz == before.nnz
+    assert np.array_equal(case.cols, before[0])
+    assert np.array_equal(case.values, before[1])
