@@ -19,6 +19,7 @@ from ._checks import check_count, check_range
 from .synthcam import Labeling
 
 _LLOYD_MAX_ITER = 300       # Lloyd iterations per k-means restart
+_RESIDUAL_TOL = 1e-10       # largest Ritz residual the eigensolver accepts
 
 
 @dataclass
@@ -236,8 +237,12 @@ def _block_krylov(L, b):
     V_new's rows of T = V^T L V, orthogonalizes W against Vt twice and
     appends the Q factor of W^T, with seeded random rows in place of
     collapsed columns.  A Ritz pair (theta, V y) has residual ||y_last^T W||
-    (L V = V T + W^T E_last); from pass 3, then at pass p + max(2, p // 2),
-    all b must be at most 1e-10.  At c = P the Rayleigh-Ritz step is exact.
+    (L V = V T + W^T E_last); a check ends the solve when all b are at
+    most 1e-10.  Checks fall at passes 3 and 5, then at the earlier of the
+    fixed schedule's next pass (p + max(2, p // 2): 7, 10, 15, 22, ...)
+    and the pass where the residual's geometric rate between the last two
+    checks reaches 1e-10, so no scheduled pass is skipped.  At c = P the
+    Rayleigh-Ritz step is exact.
     """
     P = L.shape[0]
     rng = np.random.default_rng(0)
@@ -245,7 +250,8 @@ def _block_krylov(L, b):
     Vt, T = np.empty((size, P)), np.zeros((size, size))
     W = rng.uniform(-1.0, 1.0, (b, P))[:P]
     norms = np.linalg.norm(W, axis=1)
-    c, passes, check = 0, 0, 3
+    c, passes, checks = 0, 0, []
+    due = _next_check(passes, checks)
     while True:
         Q, R = np.linalg.qr(W[:P - c].T)
         lost = np.flatnonzero(np.abs(np.diagonal(R)) <= 1e-12 * norms[:P - c])
@@ -266,12 +272,28 @@ def _block_krylov(L, b):
         W -= T[start:c, :c] @ Vt[:c]
         W -= (W @ Vt[:c].T) @ Vt[:c]
         passes += 1
-        if passes == check or c == P:
+        if passes == due or c == P:
             theta, Y = np.linalg.eigh(T[:c, :c])
             residual = float(np.linalg.norm(Y[start:, :b].T @ W, axis=1).max())
-            if residual <= 1e-10 or c == P:
+            if residual <= _RESIDUAL_TOL or c == P:
                 return theta[:b], (Y[:, :b].T @ Vt[:c]).T, passes, residual
-            check += max(2, check // 2)
+            checks.append((passes, residual))
+            due = _next_check(passes, checks)
+
+
+def _next_check(passes, checks):
+    """The pass of ``_block_krylov``'s next check after ``passes`` passes,
+    given its failed checks as (pass, residual) pairs."""
+    due = 3
+    while due <= passes:
+        due += max(2, due // 2)
+    if len(checks) >= 2:
+        (p0, r0), (p1, r1) = checks[-2:]
+        if r1 < r0:
+            rate = math.log(r1 / r0) / (p1 - p0)
+            ahead = math.ceil(math.log(_RESIDUAL_TOL / r1) / rate)
+            due = min(due, passes + max(1, ahead))
+    return due
 
 
 def kmeans(X, n, restarts=10, seed=0):

@@ -125,7 +125,11 @@ def gpower_block(W, params):
     Iterates Y <- Polar(G(Y)) where column j of G sums the gradient
     contributions 2 mu_j^2 (w_i^T y_j) w_i over active samples; the
     thresholded-square objective is nondecreasing across iterations.
-    ``_MAX_ITER`` iterations without convergence raise DidNotConverge.
+    The warm start spans the top-m right-singular subspace of A: the
+    top-m eigenvectors of the 2F x 2F Gram A A^T, in descending order,
+    mapped through A^T and orthonormalized by QR, so a rank below m still
+    gives m orthonormal columns.  ``_MAX_ITER`` iterations without
+    convergence warn DidNotConverge and return the last iterate.
     """
     A = W.data
     if not np.any(A):
@@ -134,8 +138,8 @@ def gpower_block(W, params):
     params.check_feasible(A)
     m, gamma, mu = params.m, params.gamma, params.mu
 
-    _, _, Vt = np.linalg.svd(A, full_matrices=False)
-    Y = Vt[:m].T.copy()                     # (P, m) warm start
+    _, U = np.linalg.eigh(A @ A.T)
+    Y, _ = np.linalg.qr(A.T @ U[:, :-m - 1:-1])     # (P, m) warm start
 
     history = []
     converged = False

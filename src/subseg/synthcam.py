@@ -291,14 +291,12 @@ def read_trajectory(path):
         if n < 0:
             raise ValueError(f"negative motion count {n}")
         data = _float_rows(lines[1:1 + 2 * F])
-        bits = np.array([line.split() for line in lines[1 + 2 * F:1 + 4 * F]])
+        mask = _mask_rows(lines[1 + 2 * F:1 + 4 * F], P)
         label_row = lines[1 + 4 * F].split()
-        if not np.isin(bits, ("0", "1")).all():
-            raise ValueError("mask entries must be 0 or 1")
         labels = None if label_row == ["-"] else np.array(label_row, dtype=int)
     except (IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed trajectory file {path}: {exc}") from exc
-    if data.shape != (2 * F, P) or bits.shape != (2 * F, P):
+    if data.shape != (2 * F, P):
         raise ValueError(f"malformed trajectory file {path}: bad shape")
     if n > P:
         raise ValueError(f"malformed trajectory file {path}: "
@@ -307,7 +305,7 @@ def read_trajectory(path):
         raise ValueError(f"malformed trajectory file {path}: "
                          "lines after the label line")
 
-    W = TrajectoryMatrix(data, bits == "1")
+    W = TrajectoryMatrix(data, mask)
     if labels is None:
         return W, None
     if labels.size != P:
@@ -327,6 +325,21 @@ def _float_rows(rows):
         except ValueError:
             pass
     return np.array([np.array(row.split(), dtype=float) for row in rows])
+
+
+def _mask_rows(rows, P):
+    """Mask bits of rows that each hold P tokens, every one exactly ``0``
+    or ``1``.  Each row is split once; the joined tokens are one
+    character each exactly when their length is the token count, and
+    their bytes give the bits."""
+    tokens = [row.split() for row in rows]
+    if any(len(row) != P for row in tokens):
+        raise ValueError("bad shape")
+    joined = "".join(map("".join, tokens))
+    if len(joined) != len(rows) * P or joined.strip("01"):
+        raise ValueError("mask entries must be 0 or 1")
+    bits = np.frombuffer(joined.encode(), dtype=np.uint8) == ord("1")
+    return bits.reshape(len(rows), P)
 
 
 def _random_unit(rng):

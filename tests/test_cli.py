@@ -151,11 +151,13 @@ def _set_first_entry(lines, row, token):
     (lambda lines: [lines[0].rsplit(maxsplit=1)[0] + " -1"] + lines[1:],
      "negative motion count -1"),
     (lambda lines: ["20 61 2"] + lines[1:], "bad shape"),
+    (lambda lines: lines[:41] + [lines[41].rsplit(maxsplit=1)[0]] + lines[42:],
+     "bad shape"),
     (lambda lines: lines[:81] + [lines[81].rsplit(maxsplit=1)[0]],
      "bad labels"),
 ], ids=["not-a-trajectory", "mask-token-7", "mask-token-1.0",
         "line-after-labels", "label-overflow", "negative-motion-count",
-        "header-one-point-more", "labels-one-short"])
+        "header-one-point-more", "mask-row-one-short", "labels-one-short"])
 def test_segment_parse_failure_exit_3(tmp_path, scene_file, capsys, edit,
                                       message):
     bad = tmp_path / "bad.traj"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from test_neighbors import row_sparse
 
 import subseg
+from subseg import clustering
 from subseg import neighbors as nb
 from subseg.clustering import (_LLOYD_MAX_ITER, SegmentConfig, _kmeanspp_init,
                                _lloyd, _positive_median, build_affinity,
@@ -475,6 +476,64 @@ def test_embed_identity():
     assert abs(emb.next_eigenvalue - 1.0) < 1e-12
     assert emb.residual <= 1e-10
     assert np.allclose(np.linalg.norm(emb.U, axis=1), 1.0)
+
+
+def fixed_schedule(passes, checks):
+    """Checks at pass 3, then at p + max(2, p // 2), whatever the residuals."""
+    due = 3
+    while due <= passes:
+        due += max(2, due // 2)
+    return due
+
+
+def every_pass(passes, checks):
+    return passes + 1
+
+
+def krylov_with_checks(monkeypatch, L, b, placement):
+    with monkeypatch.context() as patch:
+        patch.setattr(clustering, "_next_check", placement)
+        return clustering._block_krylov(L, b)
+
+
+def hopkins_laplacian(monkeypatch):
+    """The Laplacian and block size of a two-motion, 120-point scene of
+    Hopkins size whose checks on the fixed schedule end at pass 22."""
+    W, _ = make_scene(SceneConfig(
+        n_motions=2, points_per_motion=(56, 64), frames=30,
+        rotation_rate=(0.12883192254392675, 0.28972988942744876),
+        translation_rate=(1.1118314520104855, 1.2233264489725757),
+        noise_sigma=0.5, seed=586626706))
+    calls = []
+    solve = clustering._block_krylov
+    with monkeypatch.context() as patch:
+        patch.setattr(clustering, "_block_krylov",
+                      lambda L, b: calls.append((L, b)) or solve(L, b))
+        segment(W, SegmentConfig(n=2))
+    return calls[0]
+
+
+@pytest.mark.parametrize("case", [(12, 1, 0), (40, 3, 1), (150, 2, 2),
+                                  (300, 6, 3), "hopkins"],
+                         ids=["P12-n1", "P40-n3", "P150-n2", "P300-n6",
+                              "hopkins"])
+def test_krylov_checks_stop_between_every_pass_and_the_fixed_schedule(
+        monkeypatch, case):
+    """The checks the residual rate places stop no later than the fixed
+    schedule and no earlier than checks at every pass do."""
+    if case == "hopkins":
+        L, b = hopkins_laplacian(monkeypatch)
+    else:
+        P, n, seed = case
+        L, b = normalized_laplacian(random_graph(P, seed)), n + 1
+    first = krylov_with_checks(monkeypatch, L, b, every_pass)
+    fixed = krylov_with_checks(monkeypatch, L, b, fixed_schedule)
+    placed = clustering._block_krylov(L, b)
+    assert first[2] <= placed[2] <= fixed[2]
+    assert placed[3] <= 1e-10
+    assert np.max(np.abs(placed[0] - first[0])) < 1e-10
+    if case == "hopkins":
+        assert fixed[2] == 22 and placed[2] < 22
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import subseg
 from subseg import projection as pj
 from subseg.projection import (DidNotConverge, RankDeficient, SparseLoadings,
                                SpcaParams, ZeroColumn, assemble_global,
@@ -50,14 +51,40 @@ def test_pca_default_dimension():
     assert G.data.shape == (5, W.points)
 
 
-def test_pca_rank_deficient_pads_and_warns():
+def rank_two_matrix():
     A = np.zeros((6, 5))
     A[0, 0] = A[1, 1] = 1.0
     A[:2, 2:] = 1.0  # keep every column nonzero
-    W = TrajectoryMatrix.from_dense(A)
+    return TrajectoryMatrix.from_dense(A)
+
+
+def test_pca_rank_deficient_pads_and_warns():
     with pytest.warns(RankDeficient):
-        G = pca_project(W, 4)
+        G = pca_project(rank_two_matrix(), 4)
     assert np.allclose(np.linalg.norm(G.data, axis=0), 1.0)
+
+
+def one_motion_scene():
+    W, _ = make_scene(SceneConfig(n_motions=1, points_per_motion=(50,),
+                                  seed=4))
+    return W
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scene, m, gamma", [(rank_two_matrix, 4, 0.0),
+                                             (one_motion_scene, 6, 0.01)],
+                         ids=["rank-2", "one-motion"])
+def test_gpower_rank_below_m_gives_orthonormal_y(scene, m, gamma):
+    """The warm start's QR keeps Y finite and orthonormal where m exceeds
+    rank(A), so the Gram's trailing eigenvalues are zero to rounding."""
+    W = scene()
+    assert np.linalg.matrix_rank(W.data) < m
+    out = gpower_block(W, SpcaParams(m=m, gamma=gamma))
+    assert np.all(np.isfinite(out.Y))
+    assert np.max(np.abs(out.Y.T @ out.Y - np.eye(m))) <= 1e-12
+    if scene is one_motion_scene:
+        labeling, _ = subseg.segment(W, subseg.SegmentConfig(n=1, m=m))
+        assert np.all(labeling.labels == 0)
 
 
 def test_gpower_gamma_zero_matches_svd():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subseg
 from subseg.synthcam import (FrameMismatch, Labeling, MotionTrack,
                              PointCloud3D, SceneConfig, TrajectoryMatrix,
-                             corrupt, make_motion_track, make_scene,
-                             project_scene, read_trajectory, write_trajectory)
+                             _mask_rows, corrupt, make_motion_track,
+                             make_scene, project_scene, read_trajectory,
+                             write_trajectory)
 
 
 def numerical_rank(M, rel_tol=1e-9):
@@ -280,6 +283,53 @@ def test_trajectory_file_golden_text(tmp_path):
             assert labels2 is None
         else:
             assert labels2.labels.tolist() == [0, 1, 1] and labels2.n == 2
+
+
+def isin_mask_rule(rows, P):
+    """The mask rule of the numpy-string parse: split rows stacked into a
+    string array (ragged rows raise), every entry in {"0", "1"} by
+    ``np.isin`` and a (rows, P) shape; None where the rows are refused."""
+    try:
+        bits = np.array([row.split() for row in rows])
+    except ValueError:
+        return None
+    if not np.isin(bits, ("0", "1")).all() or bits.shape != (len(rows), P):
+        return None
+    return bits == "1"
+
+
+@st.composite
+def mask_rows(draw):
+    """P and 1-3 file lines of P - 1, P or P + 1 tokens, drawn from the
+    good bits or from all tokens, between mixed separators."""
+    P = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        count = draw(st.sampled_from([P, P, P - 1, P + 1]))
+        alphabet = draw(st.sampled_from([["0", "1"],
+                                         ["0", "1", "7", "01", "1.0", "-0"]]))
+        tokens = draw(st.lists(st.sampled_from(alphabet), min_size=count,
+                               max_size=count))
+        seps = draw(st.lists(st.sampled_from([" ", "\t", "  "]),
+                             min_size=count, max_size=count))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        rows.append("".join(sep + token for sep, token in zip(seps, tokens))
+                    + end)
+    return rows, P
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mask_rows())
+def test_mask_rows_accept_exactly_what_the_isin_rule_accepts(case):
+    rows, P = case
+    want = isin_mask_rule(rows, P)
+    try:
+        got = _mask_rows(rows, P)
+    except ValueError:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == bool and np.array_equal(got, want)
 
 
 _TRACK = make_motion_track(seed=1, frames=3, rotation_rate=0.1,
