@@ -19,7 +19,8 @@ from ._checks import check_count, check_range
 from .synthcam import Labeling
 
 _LLOYD_MAX_ITER = 300       # Lloyd iterations per k-means restart
-_RESIDUAL_TOL = 1e-10       # largest Ritz residual the eigensolver accepts
+_RESIDUAL_TOL = 1e-10       # largest Ritz residual or eigenvalue bound the
+                            # eigensolver accepts
 
 
 @dataclass
@@ -36,13 +37,16 @@ class Affinity:
 class SpectralEmbedding:
     """Rows of the n smallest Laplacian eigenvectors, unit-normalized, their
     eigenvalues, and the (n+1)-th smallest eigenvalue (None when n = P);
-    the eigensolver's block passes and its largest final residual."""
+    the eigensolver's block passes, the largest final residual of the n
+    eigenvectors and the error bound of the (n+1)-th eigenvalue (None
+    when n = P)."""
 
     U: np.ndarray
     eigenvalues: np.ndarray
     next_eigenvalue: float | None
     passes: int
     residual: float
+    next_eigenvalue_bound: float | None
 
     @property
     def spectral_gap(self):
@@ -210,38 +214,45 @@ def normalized_laplacian(A):
 def spectral_embed(L, n):
     """Eigenvectors of the n smallest eigenvalues, rows unit-normalized.
 
-    ``_block_krylov`` finds the n+1 smallest eigenpairs, the extra
-    eigenvalue giving the spectral gap; for n + 1 >= P its first pass
-    spans the whole space.  Repeated calls give the same bits.
+    ``_block_krylov`` finds the n+1 smallest eigenvalues and the first n
+    eigenvectors, the extra eigenvalue giving the spectral gap; for
+    n + 1 >= P its first pass spans the whole space.  Repeated calls give
+    the same bits.
     """
     check_count("n", n, 1)
     P = L.shape[0]
     if n > P:
         raise ValueError("n must be <= number of points")
-    eigenvalues, U, passes, residual = _block_krylov(L, n + 1)
+    eigenvalues, U, passes, residual, bound = _block_krylov(L, n + 1)
     next_eigenvalue = float(eigenvalues[n]) if n < P else None
-    U = U[:, :n]
     norms = np.linalg.norm(U, axis=1)
     scale = np.ones_like(norms)
     np.divide(1.0, norms, out=scale, where=norms > 0)
     return SpectralEmbedding(U * scale[:, None], eigenvalues[:n],
-                             next_eigenvalue, passes, residual)
+                             next_eigenvalue, passes, residual, bound)
 
 
 def _block_krylov(L, b):
-    """The min(b, P) smallest eigenpairs of a symmetric L, by block Lanczos
-    with full reorthogonalization: (eigenvalues, vectors, passes, largest
-    residual).  b must be at least the multiplicity of those eigenvalues.
+    """The min(b, P) smallest eigenvalues of a symmetric L, by block
+    Lanczos with full reorthogonalization, and the eigenvectors of all but
+    the b-th: (eigenvalues, vectors, passes, largest residual of the
+    returned vectors, eigenvalue bound of the b-th pair or None when
+    b > P).  b must be at least the multiplicity of those eigenvalues.
 
     A pass forms W = V_new^T L, whose products with the basis rows Vt are
     V_new's rows of T = V^T L V, orthogonalizes W against Vt twice and
     appends the Q factor of W^T, with seeded random rows in place of
-    collapsed columns.  A Ritz pair (theta, V y) has residual ||y_last^T W||
-    (L V = V T + W^T E_last); a check ends the solve when all b are at
-    most 1e-10.  Checks fall at passes 3 and 5, then at the earlier of the
-    fixed schedule's next pass (p + max(2, p // 2): 7, 10, 15, 22, ...)
-    and the pass where the residual's geometric rate between the last two
-    checks reaches 1e-10, so no scheduled pass is skipped.  At c = P the
+    collapsed columns.  A Ritz pair (theta, V y) has residual
+    r = ||y_last^T W|| (L V = V T + W^T E_last).  A check ends the solve
+    when the first b - 1 residuals are at most 1e-10 and so is the b-th
+    pair's eigenvalue bound min(r, r^2 / delta), delta = theta_{b+1} -
+    theta_b from the current Ritz values (Kato-Temple; r alone while no
+    (b+1)-th Ritz value exists or delta <= 0): only that pair's
+    eigenvalue is read, so its vector need not converge.  Checks fall at
+    passes 3 and 5, then at the earlier of the fixed schedule's next pass
+    (p + max(2, p // 2): 7, 10, 15, 22, ...) and the pass where the
+    geometric rate of whichever test failed, between the last two checks,
+    reaches 1e-10, so no scheduled pass is skipped.  At c = P the
     Rayleigh-Ritz step is exact.
     """
     P = L.shape[0]
@@ -274,16 +285,33 @@ def _block_krylov(L, b):
         passes += 1
         if passes == due or c == P:
             theta, Y = np.linalg.eigh(T[:c, :c])
-            residual = float(np.linalg.norm(Y[start:, :b].T @ W, axis=1).max())
-            if residual <= _RESIDUAL_TOL or c == P:
-                return theta[:b], (Y[:, :b].T @ Vt[:c]).T, passes, residual
-            checks.append((passes, residual))
+            r = np.linalg.norm(Y[start:, :b].T @ W, axis=1)
+            residual = float(r[:b - 1].max(initial=0.0))
+            bound = _eigenvalue_bound(theta, r, b)
+            miss = max(residual, bound or 0.0)
+            if miss <= _RESIDUAL_TOL or c == P:
+                vectors = (Y[:, :b - 1].T @ Vt[:c]).T
+                return theta[:b], vectors, passes, residual, bound
+            checks.append((passes, miss))
             due = _next_check(passes, checks)
+
+
+def _eigenvalue_bound(theta, r, b):
+    """min(r_b, r_b^2 / (theta_{b+1} - theta_b)) for the b-th Ritz pair,
+    r_b alone when there is no (b+1)-th Ritz value or the gap is not
+    positive, and None when there is no b-th pair."""
+    if len(r) < b:
+        return None
+    last = float(r[b - 1])
+    if len(theta) > b and theta[b] > theta[b - 1]:
+        return min(last, last * last / float(theta[b] - theta[b - 1]))
+    return last
 
 
 def _next_check(passes, checks):
     """The pass of ``_block_krylov``'s next check after ``passes`` passes,
-    given its failed checks as (pass, residual) pairs."""
+    given its failed checks as (pass, the larger of the residual and the
+    eigenvalue bound) pairs."""
     due = 3
     while due <= passes:
         due += max(2, due // 2)
@@ -336,7 +364,7 @@ def segment(W, config):
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")
-    report = {"schema": 3, "stages": {}, "n": config.n,
+    report = {"schema": 4, "stages": {}, "n": config.n,
               "projector": config.projector}
     clock = time.perf_counter
 
@@ -379,8 +407,9 @@ def segment(W, config):
     report["sigma_e"] = affinity.sigma_e
     report["eigenvalues"] = embedding.eigenvalues.tolist()
     report["spectral_gap"] = embedding.spectral_gap
-    report["spectral"] = {"passes": embedding.passes,
-                          "residual": embedding.residual}
+    report["spectral"] = {
+        "passes": embedding.passes, "residual": embedding.residual,
+        "next_eigenvalue_bound": embedding.next_eigenvalue_bound}
     report["labels"] = labeling.labels.tolist()
     return labeling, report
 

@@ -47,13 +47,34 @@ def subspace_basis(columns):
     SVD factors each matrix alone, so a basis is the same bits as that of
     its matrix factored alone.
     """
+    U, d = _left_singular(columns, full=False)
+    return U[..., :d], d
+
+
+def _left_singular(columns, full):
+    """U of the SVD of the member columns (or of each matrix of a stack),
+    m x m when ``full`` and thin otherwise, and the local dimension d."""
     columns = np.asarray(columns, dtype=float)
     m, count = columns.shape[-2:]
     if count == 0:
         raise ValueError("member set must be nonempty")
     d = max(0, min(LOCAL_DIM, m - 1, count - 1))
-    U = np.linalg.svd(columns, full_matrices=False)[0]
-    return U[..., :d], d
+    return np.linalg.svd(columns, full_matrices=full)[0], d
+
+
+def complement_is_cheaper(m, d):
+    """Whether ``build_error_matrix`` forms E from the m - d columns that
+    complete each local basis of dimension d in R^m, not from the basis.
+
+    One product with the complement costs (m - d) m multiply-adds per
+    entry of E, the basis path 2 m d plus three passes over m values.
+    Measured with 2 BLAS threads at d = 4 (P = 480, 1200 and 3000), the
+    complement was faster up to m = 16 (0.3 against 2.1 ms at m = 5,
+    P = 480; 85 against 167 ms at m = 12, P = 3000) and slower or even
+    from m = 24 (9.3 against 7.5 ms at P = 480, 52 against 41 ms at
+    P = 1200), so the boundary is m - d <= 3 d.
+    """
+    return m - d <= 3 * d
 
 
 def _member_sets(G, Omega):
@@ -86,30 +107,52 @@ def build_error_matrix(subspace, Omega, rank_tol=None):
 
     The members of local subspace i are chosen from the entries Omega[i]
     stores (``_member_sets``).  The rows with the same member count share
-    one stacked SVD.  E is formed in row blocks whose (rows, m, P)
-    residual buffer holds about one tile (``neighbors.row_blocks``), so E
-    is the one P x P array made.  ``rank_tol`` is ignored; it is kept for
-    the benchmark's layer replay until that is replaced.  Returns the
+    one stacked SVD, whose U is kept in one (P, m, width) array; each
+    LocalSubspace's basis is a view of its first d columns.  Where
+    ``complement_is_cheaper(m, D)``, with D = min(LOCAL_DIM, m - 1) the
+    largest local dimension, the SVD is full, so U_i = [B_i, N_i] is
+    orthogonal and E[i, t] = ||N_i^T g_t||^2 exactly: each row block of
+    E is the column sums of the squares of one product of the stacked
+    complements with G (a row with d < D adds its columns d..D - 1).
+    Otherwise the SVD is thin, width is D and E is g - B B^T g summed
+    over m.  Either way E is formed in row blocks whose residual buffer
+    holds about one tile (``neighbors.row_blocks``), so E is the one
+    P x P array made.  ``rank_tol`` is ignored; it is kept for the
+    benchmark's layer replay until that is replaced.  Returns the
     ErrorMatrix and the list of LocalSubspace, one per point.
     """
     nb.require_row_sparse("Omega", Omega)
     G = subspace.data
     m, P = G.shape
     members, counts = _member_sets(G, Omega)
-    bases = np.zeros((P, m, max(0, min(LOCAL_DIM, m - 1))))
+    top = max(0, min(LOCAL_DIM, m - 1))
+    complement = complement_is_cheaper(m, top)
+    factors = np.zeros((P, m, m if complement else top))
     ranks = np.empty(P, dtype=int)
     for count in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == count)
-        U, ranks[rows] = subspace_basis(
-            np.moveaxis(G[:, members[rows, :count]], 0, 1))
-        bases[rows, :, :U.shape[-1]] = U
-    del U                      # bases holds every basis; free the last stack
-    subspaces = [LocalSubspace(members[i, :count], bases[i, :, :d], d)
+        U, d = _left_singular(np.moveaxis(G[:, members[rows, :count]], 0, 1),
+                              full=complement)
+        ranks[rows] = d
+        width = m if complement else d
+        factors[rows, :, :width] = U[..., :width]
+    del U                      # factors holds every U; free the last stack
+    subspaces = [LocalSubspace(members[i, :count], factors[i, :, :d], d)
                  for i, (count, d) in enumerate(zip(counts.tolist(),
                                                     ranks.tolist()))]
     E = np.empty((P, P))
+    if complement:
+        k = m - top
+        for block in nb.row_blocks(P, k * P):
+            N = factors[block, :, top:].transpose(0, 2, 1).reshape(-1, m)
+            residual = N @ G
+            np.square(residual, out=residual)
+            np.sum(residual.reshape(-1, k, P), axis=1, out=E[block])
+        for i in np.flatnonzero(ranks < top):
+            E[i] += np.sum(np.square(factors[i, :, ranks[i]:top].T @ G), axis=0)
+        return ErrorMatrix(E), subspaces
     for block in nb.row_blocks(P, m * P):
-        B = bases[block]
+        B = factors[block]
         residual = np.matmul(B, np.matmul(B.transpose(0, 2, 1), G))
         np.subtract(G, residual, out=residual)
         np.square(residual, out=residual)

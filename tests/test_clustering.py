@@ -455,6 +455,39 @@ def test_embed_zero_eigenvalue_of_multiplicity_n_plus_1(n):
     assert emb.residual <= 1e-10
 
 
+def circulant_graph(P, seed, bump=0.0):
+    """Random weights that depend only on the cyclic distance |i - j|:
+    for odd P every eigenvalue but the constant mode's zero is double.
+    ``bump`` is added to the edge (0, 1) and splits each pair."""
+    w = np.random.default_rng(seed).uniform(size=P // 2 + 1)
+    k = np.abs(np.subtract.outer(np.arange(P), np.arange(P)))
+    A = w[np.minimum(k, P - k)]
+    np.fill_diagonal(A, 0.0)
+    A[0, 1] += bump
+    A[1, 0] += bump
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("bump, split", [(0.0, (0.0, 1e-14)),
+                                         (3e-6, (5e-10, 2e-9))],
+                         ids=["equal", "1e-9-apart"])
+def test_embed_next_eigenvalue_when_the_gap_bound_cannot_certify(
+        n, bump, split):
+    """lambda_{n+1} and lambda_{n+2} are equal or about 1e-9 apart, so
+    delta is about 0 or 1e-9 and the bound r^2 / delta certifies the
+    (n+1)-th eigenvalue no earlier than r itself nears 1e-10: that
+    eigenvalue still matches the dense solve."""
+    L = normalized_laplacian(circulant_graph(151, 0, bump))
+    vals = np.linalg.eigvalsh(L)
+    assert split[0] <= vals[n + 1] - vals[n] < split[1]
+    emb = spectral_embed(L, n)
+    assert np.max(np.abs(emb.eigenvalues - vals[:n])) < 1e-10
+    assert abs(emb.next_eigenvalue - vals[n]) < 1e-10
+    assert emb.residual <= 1e-10
+    assert emb.next_eigenvalue_bound <= 1e-10
+
+
 def test_embed_with_one_spare_point_ends_at_the_full_basis():
     """P = n + 2: the second pass completes the basis, where the
     Rayleigh-Ritz step is exact, before any convergence check."""
@@ -498,7 +531,7 @@ def krylov_with_checks(monkeypatch, L, b, placement):
 
 def hopkins_laplacian(monkeypatch):
     """The Laplacian and block size of a two-motion, 120-point scene of
-    Hopkins size whose checks on the fixed schedule end at pass 22."""
+    Hopkins size whose checks on the fixed schedule end at pass 15."""
     W, _ = make_scene(SceneConfig(
         n_motions=2, points_per_motion=(56, 64), frames=30,
         rotation_rate=(0.12883192254392675, 0.28972988942744876),
@@ -533,7 +566,7 @@ def test_krylov_checks_stop_between_every_pass_and_the_fixed_schedule(
     assert placed[3] <= 1e-10
     assert np.max(np.abs(placed[0] - first[0])) < 1e-10
     if case == "hopkins":
-        assert fixed[2] == 22 and placed[2] < 22
+        assert fixed[2] == 15 and placed[2] < 15
 
 
 @st.composite
@@ -591,12 +624,14 @@ def test_report_schema_pins_every_key(projector, extra):
     W, _ = make_scene(SceneConfig(n_motions=2, points_per_motion=20,
                                   frames=10, seed=4))
     _, report = segment(W, SegmentConfig(n=2, projector=projector))
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert set(report) == REPORT_KEYS | extra
     assert set(report["solver"]) == SOLVER_KEYS
-    assert set(report["spectral"]) == {"passes", "residual"}
+    assert set(report["spectral"]) == {"passes", "residual",
+                                       "next_eigenvalue_bound"}
     assert report["spectral"]["passes"] >= 1
     assert report["spectral"]["residual"] <= 1e-10
+    assert report["spectral"]["next_eigenvalue_bound"] <= 1e-10
     assert set(report["local_subspaces"]) == {"members", "dim"}
     if extra:
         assert set(report["spca"]) == {"iterations", "converged",

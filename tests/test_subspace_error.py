@@ -5,12 +5,24 @@ from test_neighbors import row_sparse
 from subseg.neighbors import solve_all_neighbors, weight_matrix
 from subseg.projection import GlobalSubspace, pca_project
 from subseg.subspace_error import (LOCAL_DIM, LOCAL_MEMBERS,
-                                   build_error_matrix, subspace_basis)
+                                   build_error_matrix, complement_is_cheaper,
+                                   subspace_basis)
 from subseg.synthcam import SceneConfig, make_scene
 
 
 def unit_subspace(M):
     return GlobalSubspace(M / np.linalg.norm(M, axis=0))
+
+
+# one global dimension on each side of ``complement_is_cheaper``: E is
+# formed from the complement of each local basis at m = 6 and from the
+# basis itself at m = 24
+RESIDUAL_PATHS = pytest.mark.parametrize(
+    "m, complement", [(6, True), (24, False)], ids=["complement", "basis"])
+
+
+def takes_path(m, complement):
+    return complement_is_cheaper(m, min(LOCAL_DIM, m - 1)) == complement
 
 
 def planted_two_subspace(rng, dim=6, per_block=20):
@@ -106,9 +118,11 @@ def test_error_vector_orthogonal():
     assert E.data[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_error_vector_planted_separation():
+@RESIDUAL_PATHS
+def test_error_vector_planted_separation(m, complement):
+    assert takes_path(m, complement)
     rng = np.random.default_rng(2)
-    G, labels = planted_two_subspace(rng)
+    G, labels = planted_two_subspace(rng, dim=m)
     # row 0 weights the whole first block equally: ties go to the lower
     # index, so its members are the first LOCAL_MEMBERS points
     Omega = np.zeros((len(labels), len(labels)))
@@ -185,11 +199,13 @@ def test_projector_idempotent():
     assert np.max(np.abs(once - twice)) < 1e-12
 
 
-def test_self_error_small():
-    # points of one rank-4 subspace of R^5, each with five members beside
+@RESIDUAL_PATHS
+def test_self_error_small(m, complement):
+    # points of one rank-4 subspace of R^m, each with five members beside
     # itself: every local subspace is the plant, so no residual is left
+    assert takes_path(m, complement)
     rng = np.random.default_rng(5)
-    G = unit_subspace(np.linalg.qr(rng.normal(size=(5, 4)))[0]
+    G = unit_subspace(np.linalg.qr(rng.normal(size=(m, 4)))[0]
                       @ rng.normal(size=(4, 15)))
     Omega = np.zeros((15, 15))
     for i in range(15):
@@ -223,13 +239,15 @@ def reference_members(G, weights, stored, i):
     return [i] + [j for _, j in nonzero + zero][:LOCAL_MEMBERS - 1]
 
 
-def test_error_rows_match_least_squares_projection():
+@RESIDUAL_PATHS
+def test_error_rows_match_least_squares_projection(m, complement):
     """Each row of E is the residual of a least-squares fit of every point
     onto the top-d singular vectors of that row's member set, taken
     alone."""
+    assert takes_path(m, complement)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        m, P = 6, 25
+        P = 25
         M = rng.normal(size=(m, P))
         M[:, 7] = M[:, 3]    # coincident points
         M[:, 12] = M[:, 3]
