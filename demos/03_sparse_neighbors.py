@@ -12,7 +12,7 @@ constraint 1'c = 1; each row's program is solved exactly, in closed form.
 import numpy as np
 
 from subseg import SceneConfig, make_scene
-from subseg.neighbors import (neighbor_objective, nsi_dissimilarity_rows,
+from subseg.neighbors import (neighbor_objective, nsi_distances,
                               proximity_weights, solve_all_neighbors,
                               weight_matrix)
 from subseg.projection import pca_project
@@ -22,7 +22,7 @@ G = pca_project(W, 5)
 labels = truth.labels
 
 # Distances: within-motion pairs sit much closer than cross-motion pairs
-_, X = nsi_dissimilarity_rows(G)
+X = nsi_distances(G)
 same = labels[:, None] == labels[None, :]
 off = ~np.eye(len(labels), dtype=bool)
 print(f"NSI distance, within-motion mean {X[same & off].mean():.3f}, "

@@ -32,7 +32,6 @@ from .neighbors import (
     RowSparse,
     SparseNeighborSolution,
     WeightMatrix,
-    nsi_dissimilarity_rows,
     nsi_distances,
     search_area,
     solve_all_neighbors,
@@ -43,7 +42,6 @@ from .subspace_error import (
     ErrorMatrix,
     LocalSubspace,
     build_error_matrix,
-    subspace_basis,
 )
 from .clustering import (
     Affinity,

@@ -60,11 +60,11 @@ class SpectralEmbedding:
 class SegmentConfig:
     """Pipeline settings, checked before any stage runs; defaults follow
     the method's reference settings (m=5, gamma=0.01, mu_j=1/j,
-    neighbors=20).  The class constants are the fixed values ``segment``
-    passes to the stages; no caller sets them.  ``mu``, ``admm``,
-    ``rank_tol`` and ``raw_error`` are kept for the benchmark's layer
-    replay (``bench/replay.py``) until that is replaced; the stages
-    ignore ``admm`` and ``rank_tol``."""
+    neighbors=20).  The class constants are fixed; no caller sets them.
+    ``segment`` passes ``restarts`` to k-means.  ``mu``, ``admm``,
+    ``rank_tol`` and ``raw_error`` equal the stages' defaults and are
+    read only by the benchmark's layer replay (``bench/replay.py``),
+    until that is replaced."""
 
     n: int
     projector: str = "spca"
@@ -372,7 +372,7 @@ def segment(W, config):
     if config.projector == "pca":
         G = pj.pca_project(W, config.m)
     else:
-        params = pj.SpcaParams(config.m, gamma=config.gamma, mu=config.mu)
+        params = pj.SpcaParams(config.m, gamma=config.gamma)
         loadings = pj.gpower_block(W, params)
         G = pj.assemble_global(W, loadings)
         report["spca"] = {"iterations": loadings.iterations,
@@ -382,22 +382,21 @@ def segment(W, config):
 
     t0 = clock()
     solution = nb.solve_all_neighbors(G, size=config.neighbors,
-                                      sigma=config.sigma, lam=config.lam,
-                                      admm=config.admm)
+                                      sigma=config.sigma, lam=config.lam)
     Omega = nb.weight_matrix(solution.C, solution.X).Omega
     report["stages"]["sparse_neighbors"] = clock() - t0
     report["solver"] = {"rows": W.points, "exact": True}
     del solution
 
     t0 = clock()
-    E, subspaces = se.build_error_matrix(G, Omega, config.rank_tol)
+    E, subspaces = se.build_error_matrix(G, Omega)
     report["stages"]["error_matrix"] = clock() - t0
     report["local_subspaces"] = {"members": len(subspaces[0].members),
                                  "dim": subspaces[0].rank}
     del subspaces
 
     t0 = clock()
-    affinity = build_affinity(Omega, E, config.sigma_e, config.raw_error)
+    affinity = build_affinity(Omega, E, config.sigma_e)
     del Omega, E
     L = normalized_laplacian(affinity.A)
     embedding = spectral_embed(L, config.n)

@@ -30,19 +30,25 @@ class SolverStall(UserWarning):
 @dataclass
 class RowSparse:
     """P x P matrix that stores exactly k entries in every row: row i
-    holds ``values[i, j]`` at column ``cols[i, j]``, columns ascending.
-    Every stage ignores entries on the diagonal."""
+    holds ``values[i, j]`` at column ``cols[i, j]``.  Each row's k
+    columns are distinct and ascending, and none is the row's own index,
+    so the diagonal is zero; any other ``cols`` raises ValueError."""
 
     cols: np.ndarray             # (P, k) column indices
     values: np.ndarray           # (P, k)
     shape = property(lambda self: (len(self.cols),) * 2)
     dtype = property(lambda self: self.values.dtype)
 
+    def __post_init__(self):
+        if ((np.diff(self.cols, axis=1) <= 0).any()
+                or (self.cols == np.arange(len(self.cols))[:, None]).any()):
+            raise ValueError("every row must store distinct off-diagonal "
+                             "columns in ascending order")
+
     def toarray(self):
-        """Dense copy; entries stored at one position add up."""
+        """Dense copy."""
         dense = np.zeros(self.shape, self.dtype)
-        np.add.at(dense, (np.arange(len(self.cols))[:, None], self.cols),
-                  self.values)
+        dense[np.arange(len(self.cols))[:, None], self.cols] = self.values
         return dense
 
 
@@ -293,10 +299,10 @@ def weight_matrix(C, X):
     distances; every other stored entry keeps C's zero, which the
     quotient gives for any non-NaN distance.  Zero distances
     (coincident points) are clamped to 1e-12 so duplicates get near-total
-    weight instead of a division by zero.  Diagonal entries are zeroed.
-    Each row's normalizer is the sequential sum of its stored ratios in
-    column order; rows whose normalizer vanishes are left zero.  Omega
-    stores the same entries as C.
+    weight instead of a division by zero.  Each row's normalizer is the
+    sequential sum of its stored ratios in column order; rows whose
+    normalizer vanishes are left zero.  Omega stores the same entries as
+    C.
     """
     require_row_sparse("C", C)
     X = np.asarray(X)
@@ -306,7 +312,6 @@ def weight_matrix(C, X):
                          "entry of C")
     ratios = C.values.astype(float)
     np.divide(ratios, np.maximum(dist, 1e-12), out=ratios, where=ratios != 0)
-    ratios[C.cols == np.arange(len(ratios))[:, None]] = 0.0
     denom = np.cumsum(ratios, axis=1)[:, -1:]
     valid = np.abs(denom) > 1e-12
     np.divide(ratios, denom, out=ratios, where=valid)

@@ -154,8 +154,7 @@ def test_criterion_7_error_matrix_separation():
         y = truth.labels
         G = pj.pca_project(W, 5)
         sol = nb.solve_all_neighbors(G, 20, lam=0.07)
-        _, X = nb.nsi_dissimilarity_rows(G)
-        Omega = nb.weight_matrix(sol.C, X).Omega
+        Omega = nb.weight_matrix(sol.C, sol.X).Omega
         E, _ = se.build_error_matrix(G, Omega)
         positive = E.data[E.data > 0]
         sigma_e = float(np.median(positive))

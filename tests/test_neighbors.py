@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from subseg import neighbors as nb
 from subseg.clustering import SegmentConfig, segment
 from subseg.neighbors import (RowSparse, neighbor_objective,
-                              nsi_dissimilarity_rows,
+                              nsi_dissimilarity_rows, nsi_distances,
                               proximity_weights, search_area,
                               solve_all_neighbors, solve_sparse_neighbors,
                               symmetrize, weight_matrix)
@@ -32,23 +32,20 @@ def nsi(a, b):
     return float(np.sum(cross ** 2) / min(A.shape[1], B.shape[1]))
 
 
-def row_sparse(dense, zeros=None):
-    """RowSparse of the nonzeros of a square ``dense``, plus weight-0
-    entries at the columns ``zeros[i]`` of row i.  Rows with fewer entries
-    than the fullest one are padded with their own index at weight 0,
-    which every stage ignores."""
+def row_sparse(dense):
+    """RowSparse of the off-diagonal nonzeros of a square ``dense``; a
+    RowSparse stores no diagonal entry.  Every row stores as many columns
+    as the fullest one: a shorter row also stores, at its weight 0 in
+    ``dense``, the lowest other columns it lacks."""
     dense = np.asarray(dense, dtype=float)
-    stored = [np.union1d(np.flatnonzero(row), (zeros or {}).get(i, []))
-              .astype(int) for i, row in enumerate(dense)]
-    k = max((len(s) for s in stored), default=0)
-    cols = np.empty((len(dense), k), dtype=int)
-    values = np.empty((len(dense), k))
-    for i, s in enumerate(stored):
-        padded = np.r_[s, np.full(k - len(s), i)]
-        order = np.argsort(padded, kind="stable")
-        cols[i] = padded[order]
-        values[i] = np.r_[dense[i, s], np.zeros(k - len(s))][order]
-    return RowSparse(cols, values)
+    P = len(dense)
+    off = (dense != 0) & ~np.eye(P, dtype=bool)
+    k = int(off.sum(axis=1).max(initial=0))
+    cols = np.empty((P, k), dtype=int)
+    for i, row in enumerate(off):
+        lacking = np.flatnonzero(~row & (np.arange(P) != i))
+        cols[i] = np.union1d(np.flatnonzero(row), lacking[:k - row.sum()])
+    return RowSparse(cols, np.take_along_axis(dense, cols, axis=1))
 
 
 def simplex_grid_minimum(x, q, lam, step=1e-2):
@@ -114,9 +111,13 @@ def test_nsi_symmetry_and_range():
 
 
 def test_dissimilarity_matches_pairwise_nsi():
+    """The (sim, X) pair the benchmark's layer replay reads: X is
+    ``nsi_distances`` and sim = 1 - X, both symmetric."""
     rng = np.random.default_rng(1)
     G = unit_subspace(rng.normal(size=(5, 12)))
     sim, X = nsi_dissimilarity_rows(G)
+    assert np.array_equal(X, nsi_distances(G))
+    assert np.array_equal(sim, 1.0 - X)
     for i in range(12):
         for j in range(12):
             value = nsi(G.data[:, i], G.data[:, j])
@@ -304,7 +305,7 @@ def test_batch_matches_per_row():
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
     batch = solve_all_neighbors(G, size=12)
-    _, X = nsi_dissimilarity_rows(G)
+    X = nsi_distances(G)
     coeffs = batch.C.values
     for i, cand in enumerate(batch.candidates):
         c, stats = solve_sparse_neighbors(X[i, cand])
@@ -367,12 +368,10 @@ def test_nsi_rows_same_bits_for_any_layout():
     G = M / np.linalg.norm(M, axis=0)
     wide = np.zeros((6, 600))
     wide[:, ::2] = G
-    want_sim, want_X = nsi_dissimilarity_rows(GlobalSubspace(G))
-    assert np.array_equal(want_sim, want_sim.T)
+    want = nsi_distances(GlobalSubspace(G))
+    assert np.array_equal(want, want.T)
     for data in (np.asfortranarray(G), wide[:, ::2]):
-        sim, X = nsi_dissimilarity_rows(GlobalSubspace(data))
-        assert np.array_equal(sim, want_sim)
-        assert np.array_equal(X, want_X)
+        assert np.array_equal(nsi_distances(GlobalSubspace(data)), want)
 
 
 def test_solution_carries_candidate_distances():
@@ -387,7 +386,7 @@ def test_solution_carries_candidate_distances():
     assert sol.candidates is sol.C.cols
     assert np.all(np.diff(sol.candidates, axis=1) > 0)
     assert np.array_equal(sol.X, np.take_along_axis(
-        nsi_dissimilarity_rows(G)[1], sol.candidates, axis=1))
+        nsi_distances(G), sol.candidates, axis=1))
 
 
 def test_segment_builds_nsi_matrix_once(monkeypatch):
@@ -409,7 +408,7 @@ def test_solution_contract():
     G = pca_project(W, 5)
     sol = solve_all_neighbors(G, size=20)
     P = G.points
-    _, X = nsi_dissimilarity_rows(G)
+    X = nsi_distances(G)
     C = sol.C.toarray()
     for i in range(P):
         assert abs(C[i].sum() - 1.0) < 1e-8
@@ -417,6 +416,19 @@ def test_solution_contract():
         support = set(np.flatnonzero(C[i]).tolist())
         assert support <= set(sol.candidates[i].tolist())
         assert sol.candidates[i].tolist() == sorted(search_area(X[i], i, 20))
+
+
+def test_row_sparse_rejects_other_column_layouts():
+    """A row stores distinct off-diagonal columns in ascending order; k = 0
+    is a valid layout."""
+    values = np.ones((3, 2))
+    RowSparse(np.array([[1, 2], [0, 2], [0, 1]]), values)
+    RowSparse(np.empty((3, 0), dtype=int), np.empty((3, 0)))
+    for cols in ([[0, 2], [0, 2], [0, 1]],      # diagonal entry
+                 [[1, 2], [2, 2], [0, 1]],      # repeated column
+                 [[2, 1], [0, 2], [0, 1]]):     # descending columns
+        with pytest.raises(ValueError, match="ascending order"):
+            RowSparse(np.array(cols), values)
 
 
 def test_weight_matrix_one_hot():
@@ -462,7 +474,6 @@ def weight_matrix_dense(C, X):
     Each row is summed sequentially; the zeros it adds between the stored
     ratios are exact, so the sum has the bits of the stored-entry sum."""
     ratios = C / np.maximum(X, 1e-12)
-    np.fill_diagonal(ratios, 0.0)
     denom = np.cumsum(ratios, axis=1)[:, -1:]
     Omega = np.zeros_like(ratios)
     np.divide(ratios, denom, out=Omega, where=np.abs(denom) > 1e-12)
@@ -474,10 +485,10 @@ def test_weight_matrix_matches_dense_form():
     P = 12
     C = rng.normal(size=(P, P)) * (rng.uniform(size=(P, P)) < 0.3)
     C[3] = 0.0                          # all-zero row
-    C[4, 4] = 0.7                       # nonzero diagonal
     C[5, :3] = [0.5, -0.5, 0.0]         # normalizer cancels to zero
     C[6] = -np.abs(C[6]) - 0.1          # negative row sum ...
     C[6, ::2] = -0.0                    # ... with signed zeros
+    np.fill_diagonal(C, 0.0)            # a RowSparse stores no diagonal
     X = rng.uniform(0.0, 1.0, size=(P, P))
     X[1, :] = 0.0                       # coincident points
     cases = [(C, X), (C, np.zeros((P, P))), (np.zeros((P, P)), X),
@@ -500,7 +511,7 @@ def test_weight_matrix_of_solution_keeps_support_and_dense_bits():
     W, _ = make_scene(SceneConfig(seed=3, points_per_motion=(150, 151)))
     G = pca_project(W, 5)
     sol = solve_all_neighbors(G, size=20)
-    _, X = nsi_dissimilarity_rows(G)
+    X = nsi_distances(G)
     want = weight_matrix_dense(sol.C.toarray(), X)
     for distances in (sol.X, X):
         Omega = weight_matrix(sol.C, distances).Omega

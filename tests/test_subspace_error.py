@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_neighbors import row_sparse
 
-from subseg.neighbors import solve_all_neighbors, weight_matrix
+from subseg.neighbors import RowSparse, solve_all_neighbors, weight_matrix
 from subseg.projection import GlobalSubspace, pca_project
 from subseg.subspace_error import (LOCAL_DIM, LOCAL_MEMBERS,
-                                   build_error_matrix, complement_is_cheaper,
-                                   subspace_basis)
+                                   build_error_matrix, complement_is_cheaper)
 from subseg.synthcam import SceneConfig, make_scene
 
 
@@ -34,6 +35,27 @@ def planted_two_subspace(rng, dim=6, per_block=20):
             np.r_[np.zeros(per_block), np.ones(per_block)])
 
 
+def random_rows(rng, P, k):
+    """RowSparse of k random other columns per row, random weights."""
+    cols = np.array([np.sort(rng.choice(np.delete(np.arange(P), i), size=k,
+                                        replace=False)) for i in range(P)])
+    return RowSparse(cols.reshape(P, k), rng.normal(size=(P, k)))
+
+
+def nsi_distance(G, i, j):
+    """1 - (g_i^T g_j)^2 with the dot product summed coordinate by
+    coordinate in order, as the member rule sums it."""
+    dot = sum(G[c, i] * G[c, j] for c in range(len(G)))
+    return 1.0 - min(dot * dot, 1.0)
+
+
+def reference_members(G, candidates, i):
+    """Member rule, one row: i, then the LOCAL_MEMBERS - 1 candidates of
+    smallest NSI distance, ties to the lower index."""
+    ranked = sorted((nsi_distance(G, i, j), j) for j in candidates)
+    return [i] + [j for _, j in ranked][:LOCAL_MEMBERS - 1]
+
+
 def test_collect_degenerate_row():
     G = unit_subspace(np.random.default_rng(0).normal(size=(3, 6)))
     _, subspaces = build_error_matrix(G, row_sparse(np.zeros((6, 6))))
@@ -48,53 +70,56 @@ def test_collect_one_hot():
     assert subspaces[1].members.tolist() == [1, 4]
 
 
-def test_collect_matches_nonzero_pattern():
-    """Without stored zeros the members are i, then the nonzero weights by
-    descending |weight|, at most LOCAL_MEMBERS in all."""
+def test_members_ignore_the_weights():
+    """Only the stored columns choose the members: any weights, zero
+    and negative ones included, give the same members and E bits."""
     rng = np.random.default_rng(0)
-    G = unit_subspace(rng.normal(size=(12, 12)))
-    Omega = np.zeros((12, 12))
-    for i in range(5):
-        Omega[i] = rng.normal(size=12) * (rng.uniform(size=12) < 0.3)
-    Omega[4] = rng.normal(size=12)       # more than LOCAL_MEMBERS entries
-    _, subspaces = build_error_matrix(G, row_sparse(Omega))
-    lengths = set()
-    for i in range(5):
-        support = [j for j in np.flatnonzero(Omega[i]) if j != i]
-        expected = [i] + sorted(support, key=lambda j: -abs(Omega[i, j]))
-        assert subspaces[i].members.tolist() == expected[:LOCAL_MEMBERS]
-        lengths.add(len(expected) > LOCAL_MEMBERS)
-    assert lengths == {False, True}
+    G = unit_subspace(rng.normal(size=(5, 30)))
+    Omega = random_rows(rng, 30, 9)
+    E, subspaces = build_error_matrix(G, Omega)
+    for values in (np.zeros((30, 9)), -np.abs(Omega.values),
+                   rng.permutation(Omega.values, axis=1)):
+        E2, other = build_error_matrix(G, RowSparse(Omega.cols, values))
+        assert np.array_equal(E2.data, E.data)
+        for a, b in zip(subspaces, other):
+            assert np.array_equal(a.members, b.members)
 
 
 def test_basis_single_member():
-    # a lone point fixes no direction: d = count - 1 = 0
-    col = np.array([[0.6], [0.8], [0.0]])
-    basis, rank = subspace_basis(col)
-    assert rank == 0 and basis.shape == (3, 0)
+    # k = 0: a lone point fixes no direction, d = count - 1 = 0, and every
+    # residual is the whole squared norm
+    G = unit_subspace(np.random.default_rng(0).normal(size=(3, 4)))
+    E, subspaces = build_error_matrix(G, row_sparse(np.zeros((4, 4))))
+    assert subspaces[0].rank == 0 and subspaces[0].basis.shape == (3, 0)
+    assert np.allclose(E.data, 1.0, atol=1e-12)
 
 
 def test_basis_two_orthogonal_members():
-    # two members give d = 1, the stronger of the two directions
-    cols = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
-    basis, rank = subspace_basis(cols)
-    assert rank == 1
-    assert np.allclose(np.abs(basis[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
+    # k = 1: two members give d = 1, the stronger of the two directions
+    G = GlobalSubspace(np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]))
+    _, subspaces = build_error_matrix(G, row_sparse(1.0 - np.eye(2)))
+    for local in subspaces:
+        assert local.rank == 1
+        assert np.allclose(np.abs(local.basis[:, 0]), [1.0, 0.0, 0.0],
+                           atol=1e-12)
 
 
 def test_basis_planted_plane():
-    """Members drawn from a rank-4 subspace of R^6 give d = LOCAL_DIM and
-    a basis spanning exactly that subspace."""
+    """k = 4: five members drawn from a rank-4 subspace of R^6 give
+    d = LOCAL_DIM and a basis spanning exactly that subspace."""
     rng = np.random.default_rng(1)
     plane = np.linalg.qr(rng.normal(size=(6, 4)))[0]
-    cols = plane @ rng.normal(size=(4, 5))
-    basis, rank = subspace_basis(cols)
-    assert rank == LOCAL_DIM == 4
-    # principal angles against the plant
-    s = np.linalg.svd(basis.T @ plane, compute_uv=False)
-    assert np.max(np.arccos(np.clip(s, 0, 1))) < 1e-8
+    G = unit_subspace(plane @ rng.normal(size=(4, 5)))
+    _, subspaces = build_error_matrix(G, row_sparse(1.0 - np.eye(5)))
+    for local in subspaces:
+        assert local.rank == LOCAL_DIM == 4
+        # the basis lies in the plant
+        outside = local.basis - plane @ (plane.T @ local.basis)
+        assert np.max(np.abs(outside)) < 1e-12
     # below the global dimension even when the members span all of it
-    assert subspace_basis(rng.normal(size=(3, 6)))[1] == 2
+    G = unit_subspace(rng.normal(size=(3, 5)))
+    _, subspaces = build_error_matrix(G, row_sparse(1.0 - np.eye(5)))
+    assert {local.rank for local in subspaces} == {2}
 
 
 def test_error_vector_in_span():
@@ -123,12 +148,14 @@ def test_error_vector_planted_separation(m, complement):
     assert takes_path(m, complement)
     rng = np.random.default_rng(2)
     G, labels = planted_two_subspace(rng, dim=m)
-    # row 0 weights the whole first block equally: ties go to the lower
-    # index, so its members are the first LOCAL_MEMBERS points
+    # row 0 stores the rest of the first block, so its members are the
+    # point and LOCAL_MEMBERS - 1 other points of that block
     Omega = np.zeros((len(labels), len(labels)))
-    Omega[0, labels == 0] = 1.0
+    Omega[0, 1:20] = 1.0
     E, subspaces = build_error_matrix(G, row_sparse(Omega))
-    assert subspaces[0].members.tolist() == list(range(LOCAL_MEMBERS))
+    members = subspaces[0].members
+    assert members[0] == 0 and len(set(members)) == LOCAL_MEMBERS
+    assert (labels[members] == 0).all()
     e = E.data[0]
     assert e[labels == 0].max() < 1e-20
     assert e[labels == 1].mean() > 0.1
@@ -191,9 +218,9 @@ def test_error_matrix_block_structure():
 
 def test_projector_idempotent():
     rng = np.random.default_rng(4)
-    cols = rng.normal(size=(6, 3))
-    basis, _ = subspace_basis(cols)
     G = unit_subspace(rng.normal(size=(6, 10)))
+    _, subspaces = build_error_matrix(G, random_rows(rng, 10, 2))
+    basis = subspaces[0].basis
     once = G.data - basis @ (basis.T @ G.data)
     twice = once - basis @ (basis.T @ once)
     assert np.max(np.abs(once - twice)) < 1e-12
@@ -227,40 +254,24 @@ def test_error_entries_in_unit_range():
     assert np.all(E.data <= 1 + 1e-9)
 
 
-def reference_members(G, weights, stored, i):
-    """Member rule, one row: i, then the stored columns with a nonzero
-    weight by descending |weight|, then the stored zero-weight columns by
-    NSI distance, ties to the lower index, LOCAL_MEMBERS in all."""
-    others = [j for j in np.flatnonzero(stored[i]) if j != i]
-    nonzero = sorted((-abs(weights[i, j]), j) for j in others
-                     if weights[i, j] != 0)
-    zero = sorted((1.0 - min((G[:, i] @ G[:, j]) ** 2, 1.0), j)
-                  for j in others if weights[i, j] == 0)
-    return [i] + [j for _, j in nonzero + zero][:LOCAL_MEMBERS - 1]
-
-
 @RESIDUAL_PATHS
 def test_error_rows_match_least_squares_projection(m, complement):
     """Each row of E is the residual of a least-squares fit of every point
     onto the top-d singular vectors of that row's member set, taken
-    alone."""
+    alone, for k = 0, 1, 3, 5 and 8 stored columns per row."""
     assert takes_path(m, complement)
-    for seed in range(5):
+    for seed, k in enumerate((0, 1, 3, 5, 8)):
         rng = np.random.default_rng(seed)
         P = 25
         M = rng.normal(size=(m, P))
         M[:, 7] = M[:, 3]    # coincident points
         M[:, 12] = M[:, 3]
         G = unit_subspace(M)
-        Omega = np.zeros((P, P))
+        Omega = random_rows(rng, P, k)
+        E, subspaces = build_error_matrix(G, Omega)
         for i in range(P):
-            support = rng.choice(P, size=int(rng.integers(0, 9)),
-                                 replace=False)   # size 0: an empty row
-            Omega[i, support] = rng.uniform(0.1, 1.0, size=len(support))
-        Omega[3, [7, 12]] = 0.5
-        E, subspaces = build_error_matrix(G, row_sparse(Omega))
-        for i in range(P):
-            members = reference_members(G.data, Omega, Omega != 0, i)
+            members = reference_members(G.data, Omega.cols[i], i)
+            assert subspaces[i].members.tolist() == members
             d = min(4, m - 1, len(members) - 1)
             U = np.linalg.svd(G.data[:, members])[0][:, :d]
             coef = np.linalg.lstsq(U, G.data, rcond=None)[0]
@@ -270,44 +281,54 @@ def test_error_rows_match_least_squares_projection(m, complement):
 
 
 def test_members_and_rows_match_per_row_reference():
-    """Members follow the per-row rule: stored zeros rank after every
-    nonzero weight, by NSI distance; the point itself is never taken
-    twice; rows with fewer than LOCAL_MEMBERS - 1 entries keep them all.
-    E's rows equal the plain residual expression of each basis, and the
-    weights are not changed in place."""
+    """Members follow the per-row rule: i, then the stored columns by NSI
+    distance, ties to the lower index, LOCAL_MEMBERS in all; a row with
+    fewer stored columns keeps them all.  E's rows equal the plain
+    residual expression of each basis, and the weights are not changed
+    in place."""
     rng = np.random.default_rng(8)
     m, P = 5, 30
-    G = unit_subspace(rng.normal(size=(m, P)))
-    Omega = rng.normal(size=(P, P)) * (rng.uniform(size=(P, P)) < 0.15)
-    Omega[2] = 0.0                       # empty row: the point alone
-    Omega[4, 4] = 0.3                    # the point already in its support
-    Omega[5, :] = -0.0                   # negative zeros are not stored
-    Omega[6, 6:] = 1.0                   # a saturated row of tied weights
-    Omega[7, :] = 0.0                    # two stored zeros, nothing else
-    Omega[8, :] = 0.0                    # one weight, then column 9
-    Omega[8, 12] = 0.7
-    Omega[9, :] = 0.0                    # one weight, then three stored zeros
-    Omega[9, 20] = 0.4
-    zeros = {7: [0, 11], 8: [9], 9: [1, 2, 3]}
-    stored = Omega != 0
-    for i, cols in zeros.items():
-        stored[i, cols] = True
-    case = row_sparse(Omega, zeros)
-    before = case.cols.copy(), case.values.copy()
-    E, subspaces = build_error_matrix(G, case)
-    sizes = set()
-    for i in range(P):
-        members = reference_members(G.data, Omega, stored, i)
-        assert subspaces[i].members.tolist() == members
-        sizes.add(len(members))
-        B = subspaces[i].basis
-        assert np.allclose(E.data[i],
-                           np.sum((G.data - B @ (B.T @ G.data)) ** 2, axis=0),
-                           rtol=0, atol=1e-15)
-    assert subspaces[7].members[0] == 7
-    assert sorted(subspaces[7].members.tolist()) == [0, 7, 11]
-    assert subspaces[8].members.tolist() == [8, 12, 9]
-    assert subspaces[9].members.tolist()[:2] == [9, 20]
-    assert {1, 2, LOCAL_MEMBERS} <= sizes
-    assert np.array_equal(case.cols, before[0])
-    assert np.array_equal(case.values, before[1])
+    copies = [4, 9, 21, 25, 27, 28]      # six copies of point 2: ties
+    M = rng.normal(size=(m, P))
+    M[:, copies] = M[:, [2]]
+    G = unit_subspace(M)
+    others = [j for j in range(P) if j != 2 and j not in copies]
+    for k in (3, 8, P - 1):
+        cols = random_rows(rng, P, k).cols
+        cols[2] = np.sort(np.r_[copies, others][:k])
+        case = RowSparse(cols, rng.normal(size=(P, k)))
+        before = case.cols.copy(), case.values.copy()
+        E, subspaces = build_error_matrix(G, case)
+        for i in range(P):
+            members = reference_members(G.data, case.cols[i], i)
+            assert subspaces[i].members.tolist() == members
+            B = subspaces[i].basis
+            assert np.allclose(
+                E.data[i], np.sum((G.data - B @ (B.T @ G.data)) ** 2, axis=0),
+                rtol=0, atol=1e-14)
+        want = [2, 4, 9, 21] if k == 3 else [2, 4, 9, 21, 25, 27]
+        assert subspaces[2].members.tolist() == want
+        assert np.array_equal(case.cols, before[0])
+        assert np.array_equal(case.values, before[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8),
+       P=st.integers(LOCAL_MEMBERS, 40), extra=st.integers(0, 30),
+       lam=st.sampled_from([0.0, 0.07, 1.0, 50.0]),
+       sigma=st.sampled_from([None, 0.01, 1.0]))
+def test_members_are_the_nearest_points_overall(seed, m, P, extra, lam,
+                                                 sigma):
+    """On a solver result with at least LOCAL_MEMBERS - 1 candidates per
+    row, of Gaussian (non-coincident) points, the members are the point
+    and its LOCAL_MEMBERS - 1 nearest other points by NSI distance over
+    all j != i: they depend on neither the candidate count nor lam or
+    sigma."""
+    G = unit_subspace(np.random.default_rng(seed).normal(size=(m, P)))
+    size = min(LOCAL_MEMBERS - 1 + extra, P - 1)
+    sol = solve_all_neighbors(G, size=size, sigma=sigma, lam=lam)
+    _, subspaces = build_error_matrix(G, weight_matrix(sol.C, sol.X).Omega)
+    for i, local in enumerate(subspaces):
+        everyone = [j for j in range(P) if j != i]
+        assert local.members.tolist() == reference_members(G.data,
+                                                           everyone, i)
