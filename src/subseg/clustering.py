@@ -109,8 +109,8 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
     The automatic sigma_e is the exact median of E's positive entries,
     taken by selection (``_positive_median``) without a copy of E.  So no
     P x P array is made.  If some vertex links to every other one the
-    graph is connected; only otherwise are the components counted, by
-    scipy's csgraph on a sparse copy of the edge pattern, imported then.
+    graph is connected; only otherwise are the components counted
+    (``_count_components``).
     """
     nb.require_row_sparse("Omega", Omega)
     if sigma_e is not None:
@@ -132,10 +132,30 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
            for rows in nb.row_blocks(P)):
         n_comp = 1
     else:
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import connected_components
-        n_comp, _ = connected_components(csr_array(A > 0), directed=False)
-    return Affinity(A, int(n_comp), sigma_e)
+        n_comp = _count_components(A)
+    return Affinity(A, n_comp, sigma_e)
+
+
+def _count_components(A):
+    """Connected components of the graph whose edges are the positive
+    entries of a symmetric A, counted by breadth-first search: each
+    vertex's row is read once, when it joins the frontier, in
+    ``row_blocks`` chunks of frontier rows."""
+    P = A.shape[0]
+    seen = np.zeros(P, dtype=bool)
+    count = 0
+    while not seen.all():
+        count += 1
+        frontier = np.flatnonzero(~seen)[:1]
+        seen[frontier] = True
+        while frontier.size:
+            reached = np.zeros(P, dtype=bool)
+            for part in nb.row_blocks(frontier.size, P):
+                reached |= (A[frontier[part]] > 0).any(axis=0)
+            reached &= ~seen
+            frontier = np.flatnonzero(reached)
+            seen[frontier] = True
+    return count
 
 
 def _positive_median(E):
@@ -355,12 +375,12 @@ def segment(W, config):
     carries per-stage timings, eigenvalues, and solver diagnostics; its
     key set is versioned by ``report["schema"]``.
 
-    One P x P buffer serves every dense stage after the neighbor
-    stage, which keeps its NSI distance matrix only for the candidate
-    search and frees it before the solve; C and Omega are sparse.  E is
-    formed in it, the affinity A replaces E there (sigma_e by selection,
-    symmetrized in place) and the Laplacian replaces A.  So one P x P
-    array, plus tile-sized scratch, is alive at once.
+    The neighbor stage forms and searches the NSI distances one row
+    block at a time; C and Omega are sparse.  One P x P buffer serves
+    every later dense stage: E is formed in it, the affinity A replaces
+    E there (sigma_e by selection, symmetrized in place) and the
+    Laplacian replaces A.  So one P x P array, plus tile-sized scratch,
+    is alive at once.
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")

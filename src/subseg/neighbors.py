@@ -4,8 +4,8 @@ Each projected trajectory takes as candidates the k points of smallest NSI
 distance, then solves a proximity-weighted L1 program with an affine
 constraint over them; its solution is found exactly, in closed form, for
 all rows at once.  C and the weights Omega are ``RowSparse``, k entries
-per row.  The NSI distance matrix is the stage's only P x P array and is
-released once the candidate distances are gathered.  ``symmetrize`` and
+per row.  The NSI distances are formed and searched one row block at a
+time, so the stage makes no P x P array.  ``symmetrize`` and
 ``row_blocks`` serve the dense P x P passes of the later stages.
 """
 
@@ -92,13 +92,26 @@ def nsi_distances(subspace):
 
     Small distance means geometrically close, which is what both the
     solver weights and the final weight-matrix normalization require.
-    X is formed in place in the one P x P buffer of the Gram product.
-    That product runs on a C-ordered copy of G as a BLAS rank-k update
-    (syrk), which mirrors one triangle, so X is exactly symmetric and any
-    layout of the subspace data gives the same bits.
+    X is the concatenation of the row blocks ``solve_all_neighbors``
+    searches (``_nsi_block`` over ``row_blocks``), each formed in place
+    in its slice of X, so X's rows are the bits that stage gathers.  The
+    products run on a C-ordered copy of G, so any layout of the subspace
+    data gives the same bits.  ``segment`` does not call it.
     """
     G = np.ascontiguousarray(subspace.data)
-    X = np.matmul(G.T, G)
+    P = G.shape[1]
+    X = np.empty((P, P))
+    for rows in row_blocks(P):
+        _nsi_block(G, rows, X[rows])
+    return X
+
+
+def _nsi_block(G, rows, out):
+    """Rows ``rows`` of the NSI distance matrix of a C-ordered G, formed
+    in ``out``, a (rows, P) buffer, and returned: the block's Gram
+    product is squared, clipped and subtracted from 1 in place while it
+    is cache-sized."""
+    X = np.matmul(G[:, rows].T, G, out=out)
     np.square(X, out=X)
     np.clip(X, 0.0, 1.0, out=X)
     np.subtract(1.0, X, out=X)
@@ -146,7 +159,7 @@ def row_blocks(P, width=None):
     default), each block holding about one tile (``_TILE ** 2`` entries),
     so that the temporaries of a pass over one block stay cache-sized
     whatever P is."""
-    step = max(1, _TILE * _TILE // (width or P))
+    step = max(1, _TILE * _TILE // max(width or P, 1))
     return [slice(i, min(i + step, P)) for i in range(0, P, step)]
 
 
@@ -177,7 +190,11 @@ def search_area(x, self_index, size):
     # drop the point itself if it is among the kept entries, else the last
     keep = order != np.expand_dims(self_index, -1)
     keep &= np.cumsum(keep, axis=-1) <= size
-    return order[keep].reshape(order.shape[:-1] + (-1,))
+    found = order[keep]
+    rows = int(np.prod(order.shape[:-1]))
+    # an empty stack keeps what a row whose self index is kept would
+    width = found.size // rows if rows else min(size, keep_n - 1)
+    return found.reshape(order.shape[:-1] + (width,))
 
 
 def proximity_weights(x, sigma):
@@ -214,24 +231,31 @@ def solve_sparse_neighbors(x, sigma=None, lam=0.07):
 def solve_all_neighbors(subspace, size=20, sigma=None, lam=0.07, admm=None):
     """Run the sparse-neighbor solve for every projected trajectory.
 
-    The candidates are searched on row blocks of the NSI distance matrix,
-    which is released once their (P, k) distances are gathered.  All rows
-    are solved exactly as one batch, and each row is stored in ascending
-    column order.  ``admm`` is ignored; it is kept for the benchmark's
-    layer replay until that is replaced.
+    The NSI distances are formed one ``row_blocks`` block at a time
+    (``_nsi_block``, one reused buffer of about one tile); each block's
+    candidates are searched, sorted by column and their (rows, k)
+    distances gathered while it is cache-sized, so no P x P array is
+    made.  All rows are solved exactly as one batch, and each row is
+    stored in ascending column order.  ``admm`` is ignored; it is kept
+    for the benchmark's layer replay until that is replaced.
     """
     check_count("size", size, 1)
-    X = nsi_distances(subspace)
-    P = X.shape[0]
+    G = np.ascontiguousarray(subspace.data)
+    P = G.shape[1]
     if P < 2:
         raise ValueError("need at least 2 trajectories")
     size = min(size, P - 1)
-    candidates = np.concatenate([
-        search_area(X[rows], np.arange(rows.start, rows.stop), size)
-        for rows in row_blocks(P)])
-    candidates.sort(axis=1)
-    x = np.take_along_axis(X, candidates, axis=1)
-    del X
+    blocks = row_blocks(P)
+    buffer = np.empty((blocks[0].stop, P))
+    candidates, x = [], []
+    for rows in blocks:
+        X = _nsi_block(G, rows, buffer[:rows.stop - rows.start])
+        found = search_area(X, np.arange(rows.start, rows.stop), size)
+        found.sort(axis=1)
+        candidates.append(found)
+        x.append(np.take_along_axis(X, found, axis=1))
+    del buffer, X
+    candidates, x = np.concatenate(candidates), np.concatenate(x)
     coeffs, stats = _solve_rows(x, sigma, lam)
     return SparseNeighborSolution(RowSparse(candidates, coeffs), stats, x)
 
@@ -257,8 +281,9 @@ def _solve_rows(x, sigma, lam):
         sigma[sigma == 0] = 1.0
     q = proximity_weights(x, sigma)
     t = lam * q
+    w = x * x
     with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / (x * x)
+        np.divide(1.0, w, out=w)
     zero = np.isinf(w)
     zero_rows = zero.any(axis=1)
     w[zero_rows] = 1.0
@@ -266,15 +291,26 @@ def _solve_rows(x, sigma, lam):
     order = np.argsort(t, axis=1, kind="stable")
     t_sorted = np.take_along_axis(t, order, axis=1)
     A = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+    del order
     f = np.zeros((R, k))
-    np.cumsum(A[:, :-1] * np.diff(t_sorted, axis=1), axis=1, out=f[:, 1:])
+    step = np.diff(t_sorted, axis=1)
+    step *= A[:, :-1]
+    np.cumsum(step, axis=1, out=f[:, 1:])
+    del step
     last = np.count_nonzero(f < 1.0, axis=1)[:, None] - 1
     t_last = np.take_along_axis(t_sorted, last, axis=1)
     A_last = np.take_along_axis(A, last, axis=1)
     f_last = np.take_along_axis(f, last, axis=1)
-    # on the support both terms are nonnegative, and a lone support entry
+    del t_sorted, A, f
+    # c = w (t_last - t) + (w / A_last)(1 - f_last), in two buffers: on
+    # the support both terms are nonnegative, and a lone support entry
     # is exactly 1; tied thresholds are all in the support or all out
-    c = w * (t_last - t) + (w / A_last) * (1.0 - f_last)
+    c = np.subtract(t_last, t)
+    c *= w
+    tail = np.divide(w, A_last)
+    tail *= 1.0 - f_last
+    c += tail
+    del tail
     c[t > t_last] = 0.0
 
     if zero_rows.any():

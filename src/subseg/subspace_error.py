@@ -43,12 +43,9 @@ def complement_is_cheaper(m, d):
     complete each local basis of dimension d in R^m, not from the basis.
 
     One product with the complement costs (m - d) m multiply-adds per
-    entry of E, the basis path 2 m d plus three passes over m values.
-    Measured with 2 BLAS threads at d = 4 (P = 480, 1200 and 3000), the
-    complement was faster up to m = 16 (0.3 against 2.1 ms at m = 5,
-    P = 480; 85 against 167 ms at m = 12, P = 3000) and slower or even
-    from m = 24 (9.3 against 7.5 ms at P = 480, 52 against 41 ms at
-    P = 1200), so the boundary is m - d <= 3 d.
+    entry of E, the basis path 2 m d plus a subtraction and a sum of
+    squares over m values.  The boundary m - d <= 3 d was measured
+    (CHANGES.md).
     """
     return m - d <= 3 * d
 
@@ -106,14 +103,12 @@ def build_error_matrix(subspace, Omega, rank_tol=None):
         width = m - d
         for block in nb.row_blocks(P, width * P):
             N = U[block, :, d:].transpose(0, 2, 1).reshape(-1, m)
-            residual = N @ G
-            np.square(residual, out=residual)
-            np.sum(residual.reshape(-1, width, P), axis=1, out=E[block])
+            residual = (N @ G).reshape(-1, width, P)
+            np.einsum("rwp,rwp->rp", residual, residual, out=E[block])
         return ErrorMatrix(E), subspaces
     for block in nb.row_blocks(P, m * P):
         B = U[block, :, :d]
         residual = np.matmul(B, np.matmul(B.transpose(0, 2, 1), G))
         np.subtract(G, residual, out=residual)
-        np.square(residual, out=residual)
-        np.sum(residual, axis=1, out=E[block])
+        np.einsum("rwp,rwp->rp", residual, residual, out=E[block])
     return ErrorMatrix(E), subspaces

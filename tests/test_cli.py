@@ -91,20 +91,28 @@ def test_generate_takes_negative_exponent_values(tmp_path, option, value):
 
 
 def test_import_and_segment_do_not_load_scipy(tmp_path):
-    """Segmentation runs on numpy alone: neither ``import subseg`` nor a
-    ``segment()`` call on a 120-point scene loads any part of scipy."""
+    """Segmentation runs on numpy alone: neither ``import subseg`` nor
+    ``segment()`` calls on a 120-point scene load any part of scipy, also
+    when a small explicit sigma_e leaves no vertex linked to all others,
+    so the connected components are counted."""
     path = tmp_path / "scene.traj"
     assert run(["generate", "--points-per-motion", "60,60",
                 "--out", str(path)]) == 0
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", "import subseg, sys; "
+                           "from subseg import clustering as cl; "
+                           "count = cl._count_components; calls = []; "
+                           "cl._count_components = "
+                           "lambda A: calls.append(1) or count(A); "
                            f"W, _ = subseg.read_trajectory({str(path)!r}); "
                            "subseg.segment(W, subseg.SegmentConfig(n=2)); "
-                           "print(sorted(m for m in sys.modules "
+                           "subseg.segment(W, subseg.SegmentConfig("
+                           "n=2, sigma_e=1e-9)); "
+                           "print(len(calls), sorted(m for m in sys.modules "
                            "if m.split('.')[0] == 'scipy'))"],
                           env=env, capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "[]", done.stderr
+    assert done.stdout.strip() == "1 []", done.stderr
 
 
 def test_segment_writes_labels_and_report(tmp_path, scene_file):

@@ -292,22 +292,30 @@ def test_zero_eigenvalue_multiplicity_vs_components():
 
 
 def test_connectivity_shortcut_agrees_with_sparse_count(monkeypatch):
-    from scipy.sparse import csgraph
+    """The count equals scipy's csgraph count on random graphs, from one
+    component to all vertices isolated, with frontiers spanning several
+    row blocks; a graph with a vertex linked to all others skips it."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(7)
+    for P in (1, 2, 9, 150, 700):
+        for density in (0.0, 0.5 / P, 1.5 / P, 4.0 / P, 0.2):
+            upper = np.triu(rng.uniform(size=(P, P)) < density, 1)
+            A = np.where(upper | upper.T, rng.uniform(0.1, 1.0, (P, P)), 0.0)
+            want, _ = connected_components(csr_array(A > 0), directed=False)
+            assert clustering._count_components(A) == want, (P, density)
 
     calls = []
-    count = csgraph.connected_components
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return count(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "connected_components", counted)
+    count = clustering._count_components
+    monkeypatch.setattr(clustering, "_count_components",
+                        lambda A: calls.append(1) or count(A))
     P = 6
-    # vertex 0 links to all others: connected without a sparse graph
+    # vertex 0 links to all others: connected without a count
     star = [[0, v] for v in range(1, P)]
     aff = build_affinity(no_weights(P), clique_error(star, P), sigma_e=1e-3)
     assert aff.n_components == 1 and not calls
-    # a path is connected but has no such vertex: the sparse count runs
+    # a path is connected but has no such vertex: the count runs
     path = [[v, v + 1] for v in range(P - 1)]
     aff = build_affinity(no_weights(P), clique_error(path, P), sigma_e=1e-3)
     assert aff.n_components == 1 and len(calls) == 1

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,60 @@ def test_solver_deterministic():
     assert np.array_equal(c1, c2)
 
 
+def test_search_area_of_an_empty_stack():
+    """No rows give an empty (0, width) index array, width the count a
+    row of that length would keep."""
+    for size, width in ((2, 2), (4, 4), (9, 4)):
+        got = search_area(np.zeros((0, 5)), np.zeros(0, dtype=int), size)
+        assert got.shape == (0, width) and got.dtype == np.intp
+    assert search_area(np.zeros((3, 1)), np.zeros(3, dtype=int),
+                       2).shape == (3, 0)
+
+
+@st.composite
+def tied_subspaces(draw):
+    """Unit columns in R^m, P of them at one block (200) or several (300,
+    700), where some columns repeat others, possibly negated, so that
+    rows hold tied distances and the ties span block boundaries."""
+    P = draw(st.sampled_from([200, 300, 700]))
+    m = draw(st.sampled_from([3, 5, 12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.normal(size=(m, P))
+    for _ in range(draw(st.integers(0, 40))):
+        source, target = rng.integers(P, size=2)
+        G[:, target] = G[:, source] * rng.choice([-1.0, 1.0])
+    return unit_subspace(G), draw(st.integers(1, 25))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tied_subspaces())
+def test_block_search_matches_stable_argsort_of_nsi_rows(case):
+    """Each row's candidates are the first ``size`` entries of a stable
+    argsort of its ``nsi_distances`` row, self left out, stored in
+    column order, and X holds that row's bits at them."""
+    G, size = case
+    X = nsi_distances(G)
+    sol = solve_all_neighbors(G, size=size)
+    want = np.sort([search_area_oracle(x, i, size)
+                    for i, x in enumerate(X)], axis=1)
+    assert np.array_equal(sol.candidates, want)
+    assert np.array_equal(sol.X, np.take_along_axis(X, want, axis=1))
+
+
+def test_neighbor_stage_allocates_no_dense_array():
+    """The NSI distances live one row block at a time: the stage takes far
+    less than one P x P array."""
+    P = 1000
+    G = unit_subspace(np.random.default_rng(4).normal(size=(5, P)))
+    tracemalloc.start()
+    try:
+        solve_all_neighbors(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * P * P * 8
+
+
 def test_batch_matches_per_row():
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
@@ -389,18 +444,14 @@ def test_solution_carries_candidate_distances():
         nsi_distances(G), sol.candidates, axis=1))
 
 
-def test_segment_builds_nsi_matrix_once(monkeypatch):
+def test_segment_never_calls_nsi_distances(monkeypatch):
+    """``segment`` forms the NSI distances block by block inside the
+    neighbor stage and never the whole matrix."""
     calls = []
-    original = nb.nsi_distances
-
-    def counting(subspace):
-        calls.append(subspace)
-        return original(subspace)
-
-    monkeypatch.setattr(nb, "nsi_distances", counting)
+    monkeypatch.setattr(nb, "nsi_distances", calls.append)
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     segment(W, SegmentConfig(n=2))
-    assert len(calls) == 1
+    assert not calls
 
 
 def test_solution_contract():
