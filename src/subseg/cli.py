@@ -65,7 +65,10 @@ def build_parser():
     seg.add_argument("--sigma", default="auto",
                      help="solver weight scale, 'auto' or a value")
     seg.add_argument("--sigma-e", default="auto",
-                     help="error similarity scale, 'auto' or a value")
+                     help="error similarity scale: 'auto' "
+                          f"({clustering.SIGMA_E_SCALE:g} times the median "
+                          "residual of the local subspaces' own members, "
+                          "that median floored at 1e-12) or a value")
     seg.add_argument("--seed", type=int, default=config.seed)
     seg.add_argument("--labels-out", default=None,
                      help="labels output path (default: <input>.labels)")

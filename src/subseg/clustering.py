@@ -21,12 +21,20 @@ from .synthcam import Labeling
 _LLOYD_MAX_ITER = 300       # Lloyd iterations per k-means restart
 _RESIDUAL_TOL = 1e-10       # largest Ritz residual or eigenvalue bound the
                             # eigensolver accepts
+# The automatic sigma_e is SIGMA_E_SCALE times the local subspaces' member
+# fit (ErrorMatrix.fit, floored at 1e-12), chosen on hopkins-small and
+# many-motions seeds 1-2 (README, Method).
+SIGMA_E_SCALE = 300.0
+# exp(-e / sigma_e) is set to exactly 0 below exp(_EXP_FLOOR) ~ 1e-304:
+# numpy's exp is many times slower on exponents below about -708, whose
+# results are subnormal or 0
+_EXP_FLOOR = -700.0
 
 
 @dataclass
 class Affinity:
     """Symmetric nonnegative affinity with a connectivity diagnostic and
-    the residual scale it used (None under ``raw_error``)."""
+    the residual scale sigma_e it used (None under ``raw_error``)."""
 
     A: np.ndarray
     n_components: int
@@ -73,7 +81,7 @@ class SegmentConfig:
     neighbors: int = 20
     lam: float = 0.07
     sigma: float = None          # None = mean candidate distance per row
-    sigma_e: float = None        # None = median positive residual
+    sigma_e: float = None        # None = SIGMA_E_SCALE * member fit
     seed: int = 0
 
     mu: ClassVar = None                      # mu_j = 1/j
@@ -102,29 +110,38 @@ def build_affinity(Omega, E, sigma_e=None, raw_error=False):
 
     The residual enters as exp(-e/sigma_e) so small error (same local
     subspace) means strong connection; the literal absolute-error variant
-    stays available behind ``raw_error`` for comparison.  E is consumed,
-    and its buffer becomes the returned A: B = exp(-E/sigma_e) (or |E|) is
-    formed there, |Omega| (a ``RowSparse``) is added at its stored
-    entries, and B is symmetrized in place (``neighbors.symmetrize``).
-    The automatic sigma_e is the exact median of E's positive entries,
-    taken by selection (``_positive_median``) without a copy of E.  So no
-    P x P array is made.  If some vertex links to every other one the
-    graph is connected; only otherwise are the components counted
-    (``_count_components``).
+    stays available behind ``raw_error`` for comparison.  The automatic
+    sigma_e is SIGMA_E_SCALE * max(E.fit, 1e-12): a multiple of the
+    residuals of the local subspaces' own members, so it follows the
+    noise level, not the cross-motion residuals.  E is consumed, and its
+    buffer becomes the returned A: B = exp(-E/sigma_e) (or |E|) is formed
+    there one ``row_blocks`` block at a time, exponents below
+    ``_EXP_FLOOR`` giving exactly 0; |Omega| (a ``RowSparse``) is added at
+    its stored entries, and B is symmetrized in place
+    (``neighbors.symmetrize``).  So no P x P array is made.  If some
+    vertex links to every other one the graph is connected; only
+    otherwise are the components counted (``_count_components``).
     """
     nb.require_row_sparse("Omega", Omega)
     if sigma_e is not None:
         check_range("sigma_e", sigma_e, 0, closed=False)
     A = E.data
+    P = A.shape[0]
     if raw_error:
         np.abs(A, out=A)
         sigma_e = None
     else:
         if sigma_e is None:
-            sigma_e = _positive_median(A)
-        np.divide(A, -sigma_e, out=A)
-        np.exp(A, out=A)
-    P = A.shape[0]
+            if E.fit is None:
+                raise ValueError("E has no member fit; give sigma_e")
+            sigma_e = SIGMA_E_SCALE * max(E.fit, 1e-12)
+        for block in nb.row_blocks(P):
+            rows = A[block]
+            np.divide(rows, -sigma_e, out=rows)
+            low = rows < _EXP_FLOOR
+            np.maximum(rows, _EXP_FLOOR, out=rows)
+            np.exp(rows, out=rows)
+            rows[low] = 0.0
     A[np.arange(P)[:, None], Omega.cols] += np.abs(Omega.values)
     nb.symmetrize(A)
     np.fill_diagonal(A, 0.0)
@@ -156,61 +173,6 @@ def _count_components(A):
             frontier = np.flatnonzero(reached)
             seen[frontier] = True
     return count
-
-
-def _positive_median(E):
-    """np.median(E[E > 0]) bit for bit, or 1.0 when no entry is positive,
-    found by selection without copying E (Floyd and Rivest, 1975).
-
-    The sample is a strided lattice view of about P^(4/3) entries,
-    E[a * s + b, a + b * s] with s about P^(1/3).  Unlike E[::s, ::s] it
-    visits every row and column about equally often, so rows whose
-    residuals sit at round-off are drawn in proportion.  The values of its
-    positive entries about 3 sqrt(n) sample ranks either side of its
-    middle bracket the middle rank(s) of all positive entries.  One
-    ``row_blocks`` pass counts the positive entries and those below the
-    bracket and gathers those inside it; the middle one or two gathered
-    entries are found by partition and averaged as np.median averages
-    them.  If the bracket misses, the missed side reaches four times as
-    far and the pass is repeated; past the sample's end a side is open,
-    so the last resort gathers every positive entry.
-    """
-    P = E.shape[0]
-    step = max(2, round(P ** (1 / 3)))
-    side = (P - 1) // (step + 1) + 1
-    down, right = E.strides
-    sample = np.lib.stride_tricks.as_strided(
-        E, (side, side), (step * down + right, down + step * right),
-        writeable=False)
-    sample = np.sort(sample[sample > 0])
-    size = sample.size
-    reach = [math.ceil(3 * math.sqrt(size))] * 2
-    while True:
-        low_rank = (size - 1) // 2 - reach[0]
-        high_rank = size // 2 + reach[1]
-        # x >= the smallest subnormal is x > 0
-        lo = sample[low_rank] if low_rank > 0 else np.nextafter(0.0, 1.0)
-        hi = sample[high_rank] if high_rank < size - 1 else np.inf
-        positive = at_least_lo = 0
-        inside = []
-        for block in nb.row_blocks(P):
-            rows = E[block]
-            positive += np.count_nonzero(rows > 0)
-            mask = rows >= lo
-            at_least_lo += np.count_nonzero(mask)
-            mask &= rows <= hi
-            inside.append(rows[mask])
-        if not positive:
-            return 1.0
-        below = positive - at_least_lo
-        middle = np.array(sorted({(positive - 1) // 2, positive // 2})) - below
-        inside = np.concatenate(inside)
-        if middle[0] >= 0 and middle[-1] < inside.size:
-            return float(np.mean(np.partition(inside, middle)[middle]))
-        if middle[0] < 0:
-            reach[0] *= 4
-        if middle[-1] >= inside.size:
-            reach[1] *= 4
 
 
 def normalized_laplacian(A):
@@ -378,9 +340,9 @@ def segment(W, config):
     The neighbor stage forms and searches the NSI distances one row
     block at a time; C and Omega are sparse.  One P x P buffer serves
     every later dense stage: E is formed in it, the affinity A replaces
-    E there (sigma_e by selection, symmetrized in place) and the
-    Laplacian replaces A.  So one P x P array, plus tile-sized scratch,
-    is alive at once.
+    E there (sigma_e from the member fit unless given, symmetrized in
+    place) and the Laplacian replaces A.  So one P x P array, plus
+    tile-sized scratch, is alive at once.
     """
     if config.n > W.points:
         raise ValueError(f"n = {config.n} exceeds the {W.points} trajectories")

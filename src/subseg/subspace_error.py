@@ -33,9 +33,12 @@ class LocalSubspace:
 @dataclass
 class ErrorMatrix:
     """P x P matrix; entry (i, t) is the squared residual of point t
-    against local subspace i."""
+    against local subspace i.  ``fit`` is the median residual of the
+    local subspaces' own members, E[i, j] for every i and each member
+    j != i, or None when there is none."""
 
     data: np.ndarray
+    fit: float | None = None
 
 
 def complement_is_cheaper(m, d):
@@ -84,9 +87,10 @@ def build_error_matrix(subspace, Omega, rank_tol=None):
     thin and E is g - B B^T g summed over m.  Either way E is formed in
     row blocks whose residual buffer holds about one tile
     (``neighbors.row_blocks``), so E is the one P x P array made.
-    ``rank_tol`` is ignored; it is kept for the benchmark's layer replay
-    until that is replaced.  Returns the ErrorMatrix and the list of
-    LocalSubspace, one per point.
+    ``fit`` is read from one P x (count - 1) gather of E.  ``rank_tol``
+    is ignored; it is kept for the benchmark's layer replay until that is
+    replaced.  Returns the ErrorMatrix and the list of LocalSubspace, one
+    per point.
     """
     nb.require_row_sparse("Omega", Omega)
     G = subspace.data
@@ -105,10 +109,16 @@ def build_error_matrix(subspace, Omega, rank_tol=None):
             N = U[block, :, d:].transpose(0, 2, 1).reshape(-1, m)
             residual = (N @ G).reshape(-1, width, P)
             np.einsum("rwp,rwp->rp", residual, residual, out=E[block])
-        return ErrorMatrix(E), subspaces
-    for block in nb.row_blocks(P, m * P):
-        B = U[block, :, :d]
-        residual = np.matmul(B, np.matmul(B.transpose(0, 2, 1), G))
-        np.subtract(G, residual, out=residual)
-        np.einsum("rwp,rwp->rp", residual, residual, out=E[block])
-    return ErrorMatrix(E), subspaces
+    else:
+        for block in nb.row_blocks(P, m * P):
+            B = U[block, :, :d]
+            residual = np.matmul(B, np.matmul(B.transpose(0, 2, 1), G))
+            np.subtract(G, residual, out=residual)
+            np.einsum("rwp,rwp->rp", residual, residual, out=E[block])
+    own = E[members[:, :1], members[:, 1:]].ravel()
+    fit = None
+    if own.size:
+        # np.median's value, without the numpy.ma import it pays first
+        middle = [(own.size - 1) // 2, own.size // 2]
+        fit = float(np.partition(own, middle)[middle].sum() / 2)
+    return ErrorMatrix(E, fit), subspaces

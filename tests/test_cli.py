@@ -107,10 +107,11 @@ def test_import_and_segment_do_not_load_scipy(tmp_path):
                            "lambda A: calls.append(1) or count(A); "
                            f"W, _ = subseg.read_trajectory({str(path)!r}); "
                            "subseg.segment(W, subseg.SegmentConfig(n=2)); "
+                           "automatic = len(calls); "
                            "subseg.segment(W, subseg.SegmentConfig("
                            "n=2, sigma_e=1e-9)); "
-                           "print(len(calls), sorted(m for m in sys.modules "
-                           "if m.split('.')[0] == 'scipy'))"],
+                           "print(len(calls) - automatic, sorted(m for m in "
+                           "sys.modules if m.split('.')[0] == 'scipy'))"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "1 []", done.stderr
 

@@ -1,20 +1,22 @@
 import dataclasses
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import TWO_MOTION
 from test_neighbors import row_sparse
 
 import subseg
 from subseg import clustering
-from subseg import neighbors as nb
-from subseg.clustering import (_LLOYD_MAX_ITER, SegmentConfig, _kmeanspp_init,
-                               _lloyd, _positive_median, build_affinity,
-                               kmeans, normalized_laplacian, segment,
-                               spectral_embed)
+from subseg import projection
+from subseg.clustering import (_EXP_FLOOR, _LLOYD_MAX_ITER, SIGMA_E_SCALE,
+                               SegmentConfig, _kmeanspp_init, _lloyd,
+                               build_affinity, kmeans, normalized_laplacian,
+                               segment, spectral_embed)
 from subseg.metrics import misclassification
 from subseg.neighbors import solve_all_neighbors, weight_matrix
 from subseg.projection import SpcaParams, pca_project
@@ -59,7 +61,7 @@ def test_affinity_symmetrization_idempotent():
 def test_affinity_exactly_symmetric():
     rng = np.random.default_rng(1)
     Omega = rng.normal(size=(8, 8))
-    E = ErrorMatrix(np.abs(rng.uniform(size=(8, 8))))
+    E = ErrorMatrix(np.abs(rng.uniform(size=(8, 8))), fit=0.01)
     A = build_affinity(row_sparse(Omega), E).A
     assert np.shares_memory(A, E.data)
     assert np.max(np.abs(A - A.T)) == 0.0
@@ -620,6 +622,29 @@ def test_segment_noiseless_two_motions_exact():
     assert report["local_subspaces"] == {"members": 6, "dim": 4}
 
 
+def test_noiseless_labels_and_sigma_e_ignore_rounding(monkeypatch):
+    """On criterion 5's 20 noiseless scenes, noise of 1e-15 added to G
+    leaves the labels and sigma_e unchanged: the member fit is at
+    rounding level there, and the 1e-12 floor sets sigma_e."""
+    assemble = projection.assemble_global
+    rng = np.random.default_rng(0)
+
+    def perturbed(W, loadings):
+        G = assemble(W, loadings)
+        G.data += 1e-15 * rng.standard_normal(G.data.shape)
+        return G
+
+    for seed in range(20):
+        W, _ = make_scene(SceneConfig(**TWO_MOTION, seed=seed))
+        config = SegmentConfig(n=2, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(projection, "assemble_global", perturbed)
+            moved = segment(W, config)[1]
+        report = segment(W, config)[1]
+        assert moved["labels"] == report["labels"], seed
+        assert moved["sigma_e"] == report["sigma_e"], seed
+
+
 REPORT_KEYS = {"schema", "stages", "n", "projector", "solver",
                "local_subspaces", "connected_components", "sigma_e",
                "eigenvalues", "spectral_gap", "spectral", "labels"}
@@ -649,9 +674,9 @@ def test_report_schema_pins_every_key(projector, extra):
 def test_segment_peak_memory_at_most_one_and_a_half_dense_arrays():
     """One P x P buffer serves the dense tail: the NSI distances are freed
     before the solve, C and Omega are sparse, the affinity replaces E in
-    its buffer (sigma_e by selection, symmetrized in place) and the
-    Laplacian replaces A, so at most 1.5 P x P float arrays are allocated
-    at once."""
+    its buffer (sigma_e from E's member fit, exp by row blocks,
+    symmetrized in place) and the Laplacian replaces A, so at most 1.5
+    P x P float arrays are allocated at once."""
     P = 900
     W, _ = make_scene(SceneConfig(n_motions=3, points_per_motion=P // 3,
                                   seed=1))
@@ -664,63 +689,66 @@ def test_segment_peak_memory_at_most_one_and_a_half_dense_arrays():
     assert peak <= 1.5 * P * P * 8
 
 
-@st.composite
-def residual_matrices(draw):
-    """Square matrices over a few values, so that ties are common; zeros
-    of both signs are never positive."""
-    P = draw(st.integers(1, 12) | st.integers(257, 300))
-    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-3, 0.5, 1.0, 3.0])
-                         | st.floats(1e-3, 10.0), min_size=1, max_size=6))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    return np.random.default_rng(seed).choice(pool, size=(P, P))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(residual_matrices())
-@example(np.zeros((3, 3)))
-@example(np.array([[-0.0, 0.0], [2.5, -0.0]]))
-@example(np.array([[0.0, 1.0], [2.0, 2.0]]))
-def test_sigma_e_is_exact_median_of_positive_residuals(E):
-    """The median taken by selection is np.median(E[E > 0]) bit for bit,
-    and 1.0 when no entry is positive; multi-block sizes included."""
-    positive = E[E > 0]
-    want = np.float64(np.median(positive) if positive.size else 1.0)
-    got = build_affinity(no_weights(len(E)), ErrorMatrix(E.copy())).sigma_e
-    assert np.float64(got).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("P, sampled", [(300, 7.0), (300, 1e-9),
-                                        (257, 0.9), (61, 3.0)])
-def test_sigma_e_exact_when_sample_misses_median(P, sampled, monkeypatch):
-    """Sample entries far off the median make the bracket miss; the
-    widened passes still give np.median(E[E > 0]) bit for bit."""
-    E = np.random.default_rng(P).uniform(size=(P, P))
-    step = max(2, round(P ** (1 / 3)))
-    side = (P - 1) // (step + 1) + 1
-    a, b = np.indices((side, side))
-    E[a * step + b, a + b * step] = sampled
-    passes = []
-    row_blocks = nb.row_blocks
-    monkeypatch.setattr(nb, "row_blocks",
-                        lambda P: passes.append(P) or row_blocks(P))
-    want = np.float64(np.median(E[E > 0]))
-    assert np.float64(_positive_median(E)).tobytes() == want.tobytes()
-    assert len(passes) > 1
-
-
 def test_build_affinity_allocates_no_dense_array():
-    """sigma_e, the sum and the symmetrization take only block- and
-    tile-sized scratch: far less than one P x P array."""
+    """The floored exp, the sum and the symmetrization take only block-
+    and tile-sized scratch: far less than one P x P array.  The fit puts
+    most exponents below the floor."""
     P = 1000
     E = np.random.default_rng(3).uniform(size=(P, P))
     Omega = row_sparse(np.eye(P, k=1))
     tracemalloc.start()
     try:
-        build_affinity(Omega, ErrorMatrix(E))
+        build_affinity(Omega, ErrorMatrix(E, fit=1e-6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * P * P * 8
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_sigma_e_is_scaled_median_member_residual(noise):
+    """The automatic sigma_e is SIGMA_E_SCALE times the median of
+    E[i, j] over every point i and each member j != i of its local
+    subspace, floored at 1e-12: noiseless members fit to rounding, so
+    there the floor sets sigma_e."""
+    W, _ = make_scene(SceneConfig(n_motions=2, points_per_motion=(60, 60),
+                                  frames=30, noise_sigma=noise, seed=3))
+    G = pca_project(W, 5)
+    sol = solve_all_neighbors(G)
+    Omega = weight_matrix(sol.C, sol.X).Omega
+    E, subspaces = build_error_matrix(G, Omega)
+    own = np.concatenate([E.data[s.members[0], s.members[1:]]
+                          for s in subspaces])
+    assert own.size == len(subspaces) * 5
+    want = SIGMA_E_SCALE * max(float(np.median(own)), 1e-12)
+    assert (np.median(own) < 1e-12) == (noise == 0.0)
+    assert build_affinity(Omega, E).sigma_e == want
+
+
+def test_automatic_sigma_e_needs_a_member_fit():
+    with pytest.raises(ValueError, match="no member fit"):
+        build_affinity(no_weights(4), two_block_error(2))
+
+
+def test_exp_is_floored_to_exact_zero():
+    """A is exp(-e / sigma_e) wherever that is at least exp(_EXP_FLOOR)
+    and exactly 0 below it, with no warning, over exponents spanning
+    [-800, 0] across several row blocks."""
+    P = 700
+    x = -np.random.default_rng(5).uniform(0.0, 800.0, size=(P, P))
+    x = np.minimum(x, x.T)          # symmetric, so A is B itself
+    x[0, 1:4] = x[1:4, 0] = [_EXP_FLOOR, np.nextafter(_EXP_FLOOR, 0), -745.5]
+    np.fill_diagonal(x, 0.0)
+    sigma_e = 0.5
+    E = ErrorMatrix(x * -sigma_e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = build_affinity(no_weights(P), E, sigma_e=sigma_e).A
+    kept = x >= _EXP_FLOOR
+    np.fill_diagonal(kept, False)
+    assert np.array_equal(A[kept], np.exp(x[kept]))
+    assert not A[~kept].any()
+    assert A[0, 1] == np.exp(_EXP_FLOOR) and A[0, 3] == 0.0
 
 
 def test_weight_stages_refuse_dense_and_csr_weights():
