@@ -49,7 +49,7 @@ for seed in range(10):
                              translation_rate=(1.0, 1.6, 0.6),
                              noise_sigma=0.5, seed=seed)
     W, truth = subseg.make_scene(cfg)
-    labeling, _ = subseg.segment(W, subseg.SegmentConfig(n=3, m=12, seed=seed))
+    labeling, _ = subseg.segment(W, subseg.SegmentConfig(n=3, m=12))
     errors.append(subseg.misclassification(labeling, truth).misclassification)
 print(f"\n3-motion noisy, 10 seeds: median {100 * np.median(errors):.2f}%, "
       f"max {100 * max(errors):.2f}%")

@@ -69,7 +69,6 @@ def build_parser():
                           f"({clustering.SIGMA_E_SCALE:g} times the median "
                           "residual of the local subspaces' own members, "
                           "that median floored at 1e-12) or a value")
-    seg.add_argument("--seed", type=int, default=config.seed)
     seg.add_argument("--labels-out", default=None,
                      help="labels output path (default: <input>.labels)")
     seg.add_argument("--report", default=None, help="report JSON path")
@@ -137,7 +136,7 @@ def cmd_segment(args):
             projector=args.projector, m=args.m, gamma=args.gamma,
             neighbors=args.neighbors, lam=args.lam,
             sigma=_auto_or_float(args.sigma),
-            sigma_e=_auto_or_float(args.sigma_e), seed=args.seed)
+            sigma_e=_auto_or_float(args.sigma_e))
         labeling, report = clustering.segment(W, config)
     except np.linalg.LinAlgError as exc:
         return _fail(EXIT_PIPELINE, f"pipeline failed: {exc}")

@@ -18,7 +18,7 @@ from . import subspace_error as se
 from ._checks import check_count, check_range
 from .synthcam import Labeling
 
-_LLOYD_MAX_ITER = 300       # Lloyd iterations per k-means restart
+_LLOYD_MAX_ITER = 300       # Lloyd iterations of k-means
 _RESIDUAL_TOL = 1e-10       # largest Ritz residual or eigenvalue bound the
                             # eigensolver accepts
 # The automatic sigma_e is SIGMA_E_SCALE times the local subspaces' member
@@ -68,11 +68,10 @@ class SpectralEmbedding:
 class SegmentConfig:
     """Pipeline settings, checked before any stage runs; defaults follow
     the method's reference settings (m=5, gamma=0.01, mu_j=1/j,
-    neighbors=20).  The class constants are fixed; no caller sets them.
-    ``segment`` passes ``restarts`` to k-means.  ``mu``, ``admm``,
-    ``rank_tol`` and ``raw_error`` equal the stages' defaults and are
-    read only by the benchmark's layer replay (``bench/replay.py``),
-    until that is replaced."""
+    neighbors=20).  The class constants equal the stages' defaults, no
+    caller sets them, and ``segment`` reads none of them: they remain for
+    the benchmark's layer replay (``bench/replay.py``) until that is
+    replaced."""
 
     n: int
     projector: str = "spca"
@@ -82,17 +81,16 @@ class SegmentConfig:
     lam: float = 0.07
     sigma: float = None          # None = mean candidate distance per row
     sigma_e: float = None        # None = SIGMA_E_SCALE * member fit
-    seed: int = 0
 
     mu: ClassVar = None                      # mu_j = 1/j
     rank_tol: ClassVar = None
-    restarts: ClassVar = 10
+    restarts: ClassVar = None
+    seed: ClassVar = None
     admm: ClassVar = None
     raw_error: ClassVar = False
 
     def __post_init__(self):
         check_count("n", self.n, 1)
-        check_count("seed", self.seed, 0)
         if self.projector not in ("pca", "spca"):
             raise ValueError("projector must be 'pca' or 'spca'")
         # SpcaParams owns the m and gamma rules; they hold under
@@ -306,29 +304,47 @@ def _next_check(passes, checks):
     return due
 
 
-def kmeans(X, n, restarts=10, seed=0):
-    """Seeded k-means++ with Lloyd iterations; best inertia over restarts.
+def kmeans(X, n, restarts=None, seed=None):
+    """One Lloyd run from pivoted rows of X; ids are numbered in order of
+    first appearance, so row 0 gets id 0.
 
-    When a Lloyd step leaves clusters empty, each one, before any center
-    moves, takes a different point: the one farthest from its center
-    among the clusters that keep another member.  So every one of the n
-    labels is used whenever X has at least n rows, coincident rows
-    included.  Deterministic for a fixed seed.
+    The first center is row 0, and each next one the row of largest
+    residual against the span of those before it: greedy column-pivoted
+    QR of X^T (Damle, Minden & Ying, 2019).  When a Lloyd step leaves
+    clusters empty (duplicate centers included), each one, before any
+    center moves, takes a different point: the one farthest from its
+    center among the clusters that keep another member.  So every one of
+    the n labels is used whenever X has at least n rows, coincident rows
+    included.  ``restarts`` and ``seed`` are ignored; they remain for the
+    benchmark's layer replay (``bench/replay.py``).
     """
     check_count("n", n, 1)
-    check_count("restarts", restarts, 1)
-    check_count("seed", seed, 0)
     X = np.asarray(X, dtype=float)
     if n > X.shape[0]:
         raise ValueError("n must be <= number of points")
-    rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
-        centers = _kmeanspp_init(X, n, rng)
-        labels, inertia = _lloyd(X, centers, n)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return Labeling(best_labels, n)
+    labels = _lloyd(X, X[_pivot_rows(X, n)], n)
+    _, first = np.unique(labels, return_index=True)
+    # every id is used: rank each by the row where it first appears
+    return Labeling(np.argsort(np.argsort(first))[labels], n)
+
+
+def _pivot_rows(X, n):
+    """Row 0, then up to n - 1 rows, each of largest squared residual
+    after the rows chosen before it are projected out; the last pivot
+    repeats once that residual is 0."""
+    R = X.copy()
+    pivots = [0]
+    while len(pivots) < n:
+        q = R[pivots[-1]]
+        size = q @ q
+        if size > 0:
+            R -= np.outer(R @ q, q / size)
+        residual = np.einsum("ij,ij->i", R, R)
+        k = int(np.argmax(residual))
+        if residual[k] == 0:
+            break
+        pivots.append(k)
+    return pivots + pivots[-1:] * (n - len(pivots))
 
 
 def segment(W, config):
@@ -382,7 +398,7 @@ def segment(W, config):
     del Omega, E
     L = normalized_laplacian(affinity.A)
     embedding = spectral_embed(L, config.n)
-    labeling = kmeans(embedding.U, config.n, config.restarts, config.seed)
+    labeling = kmeans(embedding.U, config.n)
     report["stages"]["clustering"] = clock() - t0
     report["connected_components"] = affinity.n_components
     report["sigma_e"] = affinity.sigma_e
@@ -395,24 +411,9 @@ def segment(W, config):
     return labeling, report
 
 
-def _kmeanspp_init(X, n, rng):
-    P = X.shape[0]
-    centers = np.empty((n, X.shape[1]))
-    centers[0] = X[rng.integers(P)]
-    dist = np.sum((X - centers[0]) ** 2, axis=1)
-    for k in range(1, n):
-        total = dist.sum()
-        if total <= 0:
-            centers[k] = X[rng.integers(P)]
-            continue
-        centers[k] = X[rng.choice(P, p=dist / total)]
-        dist = np.minimum(dist, np.sum((X - centers[k]) ** 2, axis=1))
-    return centers
-
-
 def _lloyd(X, centers, n):
     """Lloyd steps from ``centers``; returns the labels that step
-    ``_LLOYD_MAX_ITER`` would reach and their inertia about their means.
+    ``_LLOYD_MAX_ITER`` would reach.
 
     A step's labels depend only on the previous step's labels, whose
     means are its centers.  So once a label vector recurs, the steps cycle
@@ -443,7 +444,4 @@ def _lloyd(X, centers, n):
         history.append(labels)
         for k in range(n):
             centers[k] = X[labels == k].mean(axis=0)
-    for k in range(n):
-        centers[k] = X[labels == k].mean(axis=0)
-    sq = np.sum((X - centers[labels]) ** 2, axis=1)
-    return labels, float(sq.sum())
+    return labels

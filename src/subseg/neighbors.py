@@ -63,7 +63,7 @@ class SparseNeighborSolution:
 
     C stores exactly the k candidates of every row, zero coefficients
     included.  Each row is solved and stored in ascending column order,
-    so ``C.values``, ``candidates`` and ``X`` are aligned entry by entry.
+    so ``C.values``, ``C.cols`` and ``X`` are aligned entry by entry.
     ``stats`` holds, per row, the fields ``iterations`` (0), ``converged``
     (True) and ``stalled`` (False) of an exact solve; it is kept for the
     benchmark's layer replay until that is replaced.
@@ -72,11 +72,6 @@ class SparseNeighborSolution:
     C: RowSparse                 # row i = c_i^T, zero diagonal
     stats: np.recarray           # (P,) iterations, converged, stalled
     X: np.ndarray                # (P, k) NSI distances of the candidates
-
-    @property
-    def candidates(self):
-        """(P, k) candidate indices, row i ascending: C's columns."""
-        return self.C.cols
 
 
 @dataclass

@@ -113,14 +113,14 @@ def test_criterion_4_neighbor_solver_oracle():
 def test_criterion_5_end_to_end_planted_recovery():
     start = time.perf_counter()
     clean = [segment_error(SceneConfig(**TWO_MOTION, seed=seed),
-                           subseg.SegmentConfig(n=2, seed=seed))
+                           subseg.SegmentConfig(n=2))
              for seed in range(20)]
     zeros = sum(e == 0.0 for e in clean)
 
     # m = 4n projection for the 3-motion noisy suite
     noisy = [segment_error(SceneConfig(**THREE_MOTION, noise_sigma=0.5,
                                        seed=seed),
-                           subseg.SegmentConfig(n=3, m=12, seed=seed))
+                           subseg.SegmentConfig(n=3, m=12))
              for seed in range(20)]
     elapsed = time.perf_counter() - start
 
@@ -135,7 +135,7 @@ def test_criterion_5_end_to_end_planted_recovery():
 def test_criterion_6_missing_data_robustness():
     errors = [segment_error(SceneConfig(**TWO_MOTION, missing_rate=0.10,
                                         seed=seed),
-                            subseg.SegmentConfig(n=2, seed=seed))
+                            subseg.SegmentConfig(n=2))
               for seed in range(20)]
     median = float(np.median(errors))
     assert median < 0.10

@@ -120,7 +120,7 @@ def test_segment_writes_labels_and_report(tmp_path, scene_file):
     labels_path = tmp_path / "pred.labels"
     report_path = tmp_path / "report.json"
     code = run(["segment", str(scene_file), "--labels-out", str(labels_path),
-                "--report", str(report_path), "--seed", "7"])
+                "--report", str(report_path)])
     assert code == 0
     labels = [int(line) for line in labels_path.read_text().splitlines()]
     assert len(labels) == 60
@@ -135,7 +135,7 @@ def test_segment_deterministic(tmp_path, scene_file):
     for tag in ("a", "b"):
         labels_path = tmp_path / f"{tag}.labels"
         assert run(["segment", str(scene_file), "--labels-out",
-                    str(labels_path), "--seed", "7"]) == 0
+                    str(labels_path)]) == 0
         outs.append(labels_path.read_text())
     assert outs[0] == outs[1]
 
@@ -241,7 +241,7 @@ def test_segment_m_above_min_dimension_exit_2(tmp_path, capsys, projector):
     (["--gamma", "-1", "--projector", "pca"], "gamma entries must be >= 0"),
     (["--gamma", "nan", "--projector", "pca"],
      "gamma entries must be >= 0 and finite"),
-    (["--seed", "-1"], "seed must be an integer >= 0"),
+    (["--seed", "1"], "unrecognized arguments: --seed"),
     (["--gamma", "-1e-3"], "gamma entries must be >= 0"),
     (["--sigma", "abc"], "expected 'auto' or a number, got 'abc'"),
 ])

@@ -14,7 +14,7 @@ import subseg
 from subseg import clustering
 from subseg import projection
 from subseg.clustering import (_EXP_FLOOR, _LLOYD_MAX_ITER, SIGMA_E_SCALE,
-                               SegmentConfig, _kmeanspp_init, _lloyd,
+                               SegmentConfig, _lloyd, _pivot_rows,
                                build_affinity, kmeans, normalized_laplacian,
                                segment, spectral_embed)
 from subseg.metrics import misclassification
@@ -124,7 +124,7 @@ def test_embed_disconnected_cliques():
     # rows form exactly two direction clusters
     directions = {tuple(np.round(row, 6)) for row in emb.U}
     assert len(directions) == 2
-    labels = kmeans(emb.U, 2, seed=0)
+    labels = kmeans(emb.U, 2)
     assert len(set(labels.labels[:3])) == 1
     assert len(set(labels.labels[3:])) == 1
 
@@ -150,14 +150,14 @@ def test_embed_planted_three_blocks():
     A = 0.5 * (A + A.T)
     np.fill_diagonal(A, 0.0)
     emb = spectral_embed(normalized_laplacian(A), 3)
-    labels = kmeans(emb.U, 3, seed=1)
+    labels = kmeans(emb.U, 3)
     truth = Labeling(np.repeat([0, 1, 2], 10), 3)
     assert misclassification(labels, truth).misclassification == 0.0
 
 
 def test_kmeans_single_cluster():
     rng = np.random.default_rng(5)
-    labels = kmeans(rng.normal(size=(7, 3)), 1, seed=0)
+    labels = kmeans(rng.normal(size=(7, 3)), 1)
     assert np.all(labels.labels == 0)
 
 
@@ -165,7 +165,7 @@ def test_kmeans_two_separated_groups():
     rng = np.random.default_rng(6)
     X = np.r_[rng.normal(0, 0.1, size=(10, 2)),
               rng.normal(5, 0.1, size=(12, 2))]
-    labels = kmeans(X, 2, seed=0)
+    labels = kmeans(X, 2)
     assert len(set(labels.labels[:10])) == 1
     assert len(set(labels.labels[10:])) == 1
     assert labels.labels[0] != labels.labels[-1]
@@ -174,8 +174,8 @@ def test_kmeans_two_separated_groups():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(30, 4))
-    a = kmeans(X, 3, seed=5)
-    b = kmeans(X, 3, seed=5)
+    a = kmeans(X, 3)
+    b = kmeans(X, 3)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -198,19 +198,43 @@ def coincident_rows(draw):
 @example((np.repeat([[0.0], [1.0]], 3, axis=0), 4))
 @example((np.zeros((5, 2)), 3))
 def test_kmeans_uses_every_label_on_coincident_rows(case):
-    """Clusters left empty in one Lloyd step each take a different point,
-    so all n labels are used; all-coincident rows also run k-means++'s
-    zero-distance draw."""
+    """Clusters left empty in one Lloyd step, duplicate pivots included,
+    each take a different point, so all n labels are used; ids are
+    numbered by first appearance, and no step warns."""
     X, n = case
-    labeling = kmeans(X, n, seed=1)
-    assert np.unique(labeling.labels).size == n
-    assert np.array_equal(kmeans(X, n, seed=1).labels, labeling.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = kmeans(X, n).labels
+    _, first = np.unique(labels, return_index=True)
+    assert first.size == n
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(kmeans(X, n).labels, labels)
+
+
+def greedy_pivots(X, n):
+    """Row 0, then at each step the row of largest least-squares residual
+    against the rows already chosen."""
+    pivots = [0]
+    while len(pivots) < n:
+        B = X[pivots].T
+        fit = B @ np.linalg.lstsq(B, X.T, rcond=None)[0]
+        pivots.append(int(np.argmax(np.sum((X.T - fit) ** 2, axis=0))))
+    return pivots
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pivot_rows_match_least_squares_greedy(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    X = rng.normal(size=(int(rng.integers(dim, 80)), dim))
+    n = int(rng.integers(1, dim + 1))
+    assert _pivot_rows(X, n) == greedy_pivots(X, n)
 
 
 def every_step_lloyd(X, centers, n):
     """Lloyd's loop that stops only when two consecutive label vectors
-    agree, else after _LLOYD_MAX_ITER steps; returns the labels, their
-    inertia and the steps run."""
+    agree, else after _LLOYD_MAX_ITER steps; returns the labels and the
+    steps run."""
     labels = None
     for step in range(1, _LLOYD_MAX_ITER + 1):
         sq = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
@@ -229,16 +253,13 @@ def every_step_lloyd(X, centers, n):
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-    sq = np.sum((X - centers[labels]) ** 2, axis=1)
-    return labels, float(sq.sum()), step
+    return labels, step
 
 
-def assert_lloyd_matches_every_step(X, n, seed):
-    centers = _kmeanspp_init(X, n, np.random.default_rng(seed))
-    want_labels, want_inertia, steps = every_step_lloyd(X, centers.copy(), n)
-    labels, inertia = _lloyd(X, centers.copy(), n)
-    assert np.array_equal(labels, want_labels)
-    assert np.float64(inertia).tobytes() == np.float64(want_inertia).tobytes()
+def assert_lloyd_matches_every_step(X, n):
+    centers = X[_pivot_rows(X, n)]
+    want, steps = every_step_lloyd(X, centers.copy(), n)
+    assert np.array_equal(_lloyd(X, centers, n), want)
     return steps
 
 
@@ -246,13 +267,13 @@ def test_lloyd_reads_cycling_labels_off_the_cycle():
     """Coincident rows flip between tied centers for every step; the
     labels of the last step are read off the cycle."""
     X = np.full((14, 2), 0.3)
-    assert assert_lloyd_matches_every_step(X, 4, 0) == _LLOYD_MAX_ITER
+    assert assert_lloyd_matches_every_step(X, 4) == _LLOYD_MAX_ITER
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(coincident_rows(), st.integers(0, 3))
-def test_lloyd_matches_every_step_on_coincident_rows(case, seed):
-    assert_lloyd_matches_every_step(*case, seed)
+@given(coincident_rows())
+def test_lloyd_matches_every_step_on_coincident_rows(case):
+    assert_lloyd_matches_every_step(*case)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -260,8 +281,7 @@ def test_lloyd_matches_every_step_on_continuous_rows(seed):
     rng = np.random.default_rng(seed)
     P = int(rng.integers(2, 60))
     X = rng.normal(size=(P, int(rng.integers(1, 5))))
-    assert_lloyd_matches_every_step(X, int(rng.integers(1, min(P, 8) + 1)),
-                                    seed)
+    assert_lloyd_matches_every_step(X, int(rng.integers(1, min(P, 8) + 1)))
 
 
 def clique_error(groups, P):
@@ -394,8 +414,8 @@ def test_embed_matches_dense_eigh_on_disjoint_cliques(sizes):
     assert np.max(np.abs(emb.eigenvalues)) < 1e-10
     assert abs(emb.next_eigenvalue - vals[n]) < 1e-10
     assert emb.spectral_gap > 0.5
-    labels = kmeans(emb.U, n, seed=0)
-    dense = kmeans(unit_rows(np.linalg.eigh(L)[1][:, :n]), n, seed=0)
+    labels = kmeans(emb.U, n)
+    dense = kmeans(unit_rows(np.linalg.eigh(L)[1][:, :n]), n)
     truth = Labeling(truth, n)
     assert misclassification(labels, truth).misclassification == 0.0
     assert misclassification(dense, truth).misclassification == 0.0
@@ -448,7 +468,7 @@ def test_embed_separates_eigenvalues_a_weak_bridge_puts_1e6_apart(n):
     assert emb.residual <= 1e-10
     if n == 2:
         truth = Labeling(np.repeat([0, 1], 30), 2)
-        labels = kmeans(emb.U, 2, seed=0)
+        labels = kmeans(emb.U, 2)
         assert misclassification(labels, truth).misclassification == 0.0
 
 
@@ -610,7 +630,7 @@ def test_segment_noiseless_two_motions_exact():
                       rotation_rate=(0.15, 0.22),
                       translation_rate=(1.0, 1.6), seed=1)
     W, truth = make_scene(cfg)
-    labeling, report = segment(W, SegmentConfig(n=2, seed=1))
+    labeling, report = segment(W, SegmentConfig(n=2))
     assert misclassification(labeling, truth).misclassification == 0.0
     assert set(report["stages"]) == {"projection", "sparse_neighbors",
                                      "error_matrix", "clustering"}
@@ -636,7 +656,7 @@ def test_noiseless_labels_and_sigma_e_ignore_rounding(monkeypatch):
 
     for seed in range(20):
         W, _ = make_scene(SceneConfig(**TWO_MOTION, seed=seed))
-        config = SegmentConfig(n=2, seed=seed)
+        config = SegmentConfig(n=2)
         with monkeypatch.context() as patch:
             patch.setattr(projection, "assemble_global", perturbed)
             moved = segment(W, config)[1]
@@ -780,8 +800,8 @@ def test_segment_label_permutation_metamorphic():
     rng = np.random.default_rng(0)
     perm = rng.permutation(W.points)
     W_perm = subseg.TrajectoryMatrix(W.data[:, perm], W.mask[:, perm])
-    lab_a, _ = segment(W, SegmentConfig(n=2, seed=2))
-    lab_b, _ = segment(W_perm, SegmentConfig(n=2, seed=2))
+    lab_a, _ = segment(W, SegmentConfig(n=2))
+    lab_b, _ = segment(W_perm, SegmentConfig(n=2))
     permuted = Labeling(lab_a.labels[perm], 2)
     assert misclassification(lab_b, permuted).misclassification == 0.0
 
@@ -810,8 +830,8 @@ def test_segment_config_validation():
     ("seed", -1), ("seed", 2.5), ("seed", True)])
 def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
     # the messages name "lambda" for lam, which the pattern "lam" matches;
-    # restarts and rank_tol are class constants: no value is accepted
-    error = TypeError if field in ("restarts", "rank_tol") else ValueError
+    # restarts, seed and rank_tol are class constants: no value is accepted
+    error = TypeError if field in ("restarts", "seed", "rank_tol") else ValueError
     with pytest.raises(error, match=field):
         SegmentConfig(**{"n": 2, field: value})
 
@@ -819,12 +839,11 @@ def test_segment_config_rejects_bad_counts_and_rank_tol(field, value):
 def test_segment_config_accepts_boundary_counts_and_rank_tol():
     config = SegmentConfig(n=np.int64(2), m=np.int64(1),
                            neighbors=np.int64(1), lam=0.0, sigma=1e-300,
-                           sigma_e=1e-300, seed=np.int64(0))
+                           sigma_e=1e-300)
     assert (config.neighbors, config.lam) == (1, 0.0)
-    # kmeans accepts its bound on restarts; build_error_matrix takes and
-    # ignores the rank_tol the benchmark replay passes
+    # build_error_matrix takes and ignores the rank_tol the benchmark
+    # replay passes
     X = np.random.default_rng(8).normal(size=(6, 2))
-    assert kmeans(X, 2, restarts=1).n == 2
     G = pca_project(subseg.TrajectoryMatrix.from_dense(X.T), 2)
     E = build_error_matrix(G, no_weights(6))[0].data
     for rank_tol in (0.0, np.nextafter(1.0, 0.0)):
@@ -832,20 +851,23 @@ def test_segment_config_accepts_boundary_counts_and_rank_tol():
                                                  rank_tol)[0].data, E)
 
 
-def test_segment_config_fields_are_the_nine_settings():
+def test_segment_config_fields_are_the_eight_settings():
     assert {f.name for f in dataclasses.fields(SegmentConfig)} == {
         "n", "projector", "m", "gamma", "neighbors", "lam", "sigma",
-        "sigma_e", "seed"}
-    for name in ("mu", "rank_tol", "restarts", "admm", "raw_error"):
+        "sigma_e"}
+    for name in ("mu", "rank_tol", "restarts", "seed", "admm", "raw_error"):
         with pytest.raises(TypeError, match=name):
             SegmentConfig(n=2, **{name: getattr(SegmentConfig, name)})
+    with pytest.raises(TypeError, match="seed"):
+        SegmentConfig(n=2, seed=0)
 
 
 def test_segment_config_constants_are_the_function_defaults():
     def default(function, name):
         return inspect.signature(function).parameters[name].default
 
-    assert SegmentConfig.restarts == default(kmeans, "restarts")
+    assert SegmentConfig.restarts is default(kmeans, "restarts")
+    assert SegmentConfig.seed is default(kmeans, "seed")
     assert SegmentConfig.rank_tol == default(build_error_matrix, "rank_tol")
     assert SegmentConfig.raw_error == default(build_affinity, "raw_error")
     assert SegmentConfig.mu is default(SpcaParams, "mu")
@@ -855,9 +877,15 @@ def test_segment_config_constants_are_the_function_defaults():
 @pytest.mark.parametrize("n,restarts", [(0, 10), (-1, 10), (2, 0), (2, -3),
                                         (2, 2.5), (2, True)])
 def test_kmeans_rejects_bad_counts(n, restarts):
+    """kmeans checks n; restarts, the replay's argument, is ignored, so
+    any value of it gives the labels of kmeans(X, n)."""
     X = np.random.default_rng(8).normal(size=(6, 2))
-    with pytest.raises(ValueError, match="n must" if n < 1 else "restarts"):
-        kmeans(X, n, restarts)
+    if n < 1:
+        with pytest.raises(ValueError, match="n must"):
+            kmeans(X, n, restarts)
+    else:
+        assert np.array_equal(kmeans(X, n, restarts, -1).labels,
+                              kmeans(X, n).labels)
 
 
 @pytest.mark.parametrize("settings, local", [

@@ -338,7 +338,7 @@ def test_block_search_matches_stable_argsort_of_nsi_rows(case):
     sol = solve_all_neighbors(G, size=size)
     want = np.sort([search_area_oracle(x, i, size)
                     for i, x in enumerate(X)], axis=1)
-    assert np.array_equal(sol.candidates, want)
+    assert np.array_equal(sol.C.cols, want)
     assert np.array_equal(sol.X, np.take_along_axis(X, want, axis=1))
 
 
@@ -362,7 +362,7 @@ def test_batch_matches_per_row():
     batch = solve_all_neighbors(G, size=12)
     X = nsi_distances(G)
     coeffs = batch.C.values
-    for i, cand in enumerate(batch.candidates):
+    for i, cand in enumerate(batch.C.cols):
         c, stats = solve_sparse_neighbors(X[i, cand])
         assert np.array_equal(coeffs[i], c)
         assert batch.stats[i].tolist() == stats.tolist()
@@ -431,17 +431,16 @@ def test_nsi_rows_same_bits_for_any_layout():
 
 def test_solution_carries_candidate_distances():
     """C stores every row's k candidates in ascending column order, and
-    candidates and X are aligned with C's stored entries."""
+    X is aligned with C's stored entries."""
     W, _ = make_scene(SceneConfig(seed=8, points_per_motion=(25, 25)))
     G = pca_project(W, 5)
     sol = solve_all_neighbors(G, size=12)
     P = G.points
     assert isinstance(sol.C, RowSparse) and sol.C.shape == (P, P)
     assert sol.C.cols.shape == sol.C.values.shape == sol.X.shape == (P, 12)
-    assert sol.candidates is sol.C.cols
-    assert np.all(np.diff(sol.candidates, axis=1) > 0)
+    assert np.all(np.diff(sol.C.cols, axis=1) > 0)
     assert np.array_equal(sol.X, np.take_along_axis(
-        nsi_distances(G), sol.candidates, axis=1))
+        nsi_distances(G), sol.C.cols, axis=1))
 
 
 def test_segment_never_calls_nsi_distances(monkeypatch):
@@ -465,8 +464,8 @@ def test_solution_contract():
         assert abs(C[i].sum() - 1.0) < 1e-8
         assert C[i, i] == 0.0
         support = set(np.flatnonzero(C[i]).tolist())
-        assert support <= set(sol.candidates[i].tolist())
-        assert sol.candidates[i].tolist() == sorted(search_area(X[i], i, 20))
+        assert support <= set(sol.C.cols[i].tolist())
+        assert sol.C.cols[i].tolist() == sorted(search_area(X[i], i, 20))
 
 
 def test_row_sparse_rejects_other_column_layouts():
